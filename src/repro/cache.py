@@ -514,9 +514,9 @@ class StageMemo:
 
 
 # ----------------------------------------------------------------------
-# The engine-facing read-through/store pair. Both dispatch paths (the
-# thread engine and the process-pool CampaignWorker) call exactly these
-# two functions, so the caching invariants cannot drift between them.
+# The engine-facing read-through/store pair. Every dispatch path runs
+# its cells through repro.campaign.engine.execute_cell, the one caller
+# of these two functions, so the caching invariants cannot drift.
 # ----------------------------------------------------------------------
 def cached_outcome(cache: CompileCache, key: str,
                    fingerprint: str | None,

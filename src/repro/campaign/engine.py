@@ -1,25 +1,41 @@
-"""The pooled cell dispatcher behind every sweep and campaign.
+"""The one cell dispatcher behind every sweep and campaign.
 
-A sweep is a list of independent cells; this module executes such a
-list — sequentially or across a thread pool — with journaling, resume,
-and deterministic result ordering. The higher layers
-(:func:`~repro.workloads.sweeps.run_grid`, the Tier-2 analyzers, and
-:class:`~repro.campaign.Campaign`) all reduce their work to
-:class:`CellTask` lists and call :func:`run_cell_tasks`, so the
-retry/journal/resume semantics cannot drift between entry points.
+A sweep is a list of independent cells. Every entry point —
+:func:`~repro.workloads.sweeps.run_grid`, the Tier-2 analyzers and
+:class:`~repro.campaign.Campaign` — reduces its work to such a list
+and hands it to :func:`drain`, the single dispatch loop. The loop runs
+over a small pool interface, :class:`CellPool`, with three
+implementations:
+
+* :class:`InlinePool` — no threads; each cell runs on the calling
+  thread as it is dispatched (``max_workers == 1``, or at most one
+  pending cell);
+* :class:`ThreadPool` — a :class:`~concurrent.futures.ThreadPoolExecutor`;
+* :class:`~repro.campaign.supervisor.Supervisor` — a supervised
+  process pool (heartbeats, hard kills, quarantine, pool rebuild),
+  whose cells are picklable :class:`~repro.campaign.process.CellSpec`
+  data.
+
+Whatever the pool, one function, :func:`execute_cell`, runs a cell:
+cache read, executor, journal record, ``cell`` trace event, cache
+store. Dispatch is incremental: one scheduler pick per free slot
+(FIFO without a scheduler), so an online cost predictor learns from
+every finished cell before the next pick.
 
 Guarantees:
 
 * **Deterministic ordering** — results come back in task-list order,
   whatever order cells completed in.
-* **Sequential fidelity** — with ``max_workers=1`` cells run inline in
-  order, exactly like the pre-campaign harness (including progress
-  callback ordering on a resumed run).
+* **Sequential fidelity** — on the inline pool with task-order
+  dispatch, ``on_result`` fires in strict task order, resumed cells
+  at their own positions, exactly like the pre-campaign harness.
+  Otherwise resumed cells resolve first and executed cells as they
+  complete — still exactly once per cell.
 * **Crash tolerance** — each finished cell is journaled (fsynced)
   before its result is surfaced; a non-:class:`ReproError` escaping a
-  cell (a harness bug, or an injected "kill") cancels undispatched
-  cells, drains the running ones, and re-raises — journaled outcomes
-  survive for the resume.
+  cell (a harness bug, or an injected "kill") stops dispatch, drains
+  the running cells, and re-raises — journaled outcomes survive for
+  the resume.
 * **Backend serialization** — tasks carrying a ``serializer`` lock
   (backends audited ``thread_safe = False``) never overlap their
   backend calls, while their retries/backoffs still interleave freely.
@@ -28,18 +44,33 @@ Guarantees:
 from __future__ import annotations
 
 import threading
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ThreadPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.stages import run_stages
 from repro.resilience.executor import CellOutcome, ResilientExecutor
 from repro.resilience.journal import JournalEntry, ShardedJournal, SweepJournal
+from repro.resilience.policy import DISPATCH_PROCESS
 
 if TYPE_CHECKING:  # the scheduler module imports nothing from here
     from repro.cache import CompileCache, StageMemo
+    from repro.campaign.process import CellSpec
     from repro.campaign.scheduler import Scheduler
+    from repro.campaign.supervisor import SupervisionStats
+    from repro.core.backend import AcceleratorBackend
     from repro.observe import TraceRecorder
+    from repro.resilience.policy import ExecutionPolicy
+
+#: A dispatchable cell (a :class:`CellTask`, or a picklable
+#: :class:`~repro.campaign.process.CellSpec` on the process pool) at
+#: its task-list index.
+Pending = tuple[int, Any]
 
 
 @dataclass(frozen=True)
@@ -135,12 +166,49 @@ def _locked(fn: Callable[..., Any],
     return guarded
 
 
-def _execute(task: CellTask, index: int,
-             journal: SweepJournal | ShardedJournal | None,
-             fallback: ResilientExecutor,
-             tracer: "TraceRecorder | None" = None,
-             cache: "CompileCache | None" = None,
-             memo: "StageMemo | None" = None) -> CellResult:
+def cell_task(cell: "CellSpec", backend: "AcceleratorBackend",
+              executor: ResilientExecutor,
+              serializer: threading.Lock | None = None) -> CellTask:
+    """The executable task for one cell spec on its backend.
+
+    Thread dispatch builds its tasks here in the parent; a process
+    worker builds the same task from the spec it was sent.
+    """
+    def compile_fn() -> Any:
+        return backend.compile(cell.model, cell.train, **cell.options)
+
+    def stages_fn() -> list[Any]:
+        return backend.compile_pipeline(cell.model, cell.train,
+                                        **cell.options)
+
+    return CellTask(
+        key=cell.key,
+        compile_fn=compile_fn,
+        stages_fn=stages_fn,
+        run_fn=(backend.run if cell.measure else None),
+        is_transient=backend.is_transient,
+        executor=executor,
+        serializer=serializer,
+        cost_hint=cell.cost_hint,
+        family=cell.family,
+        fingerprint=cell.fingerprint,
+    )
+
+
+def execute_cell(task: CellTask, index: int,
+                 journal: SweepJournal | ShardedJournal | None = None,
+                 fallback: ResilientExecutor | None = None,
+                 tracer: "TraceRecorder | None" = None,
+                 cache: "CompileCache | None" = None,
+                 memo: "StageMemo | None" = None) -> CellResult:
+    """Run one cell: cache read, executor, journal, trace, cache store.
+
+    A fingerprinted cell already in ``cache`` replays without touching
+    the backend; otherwise the task's executor (``fallback`` when the
+    task carries none) runs it, through the stage ``memo`` when the
+    task has a ``stages_fn``. The outcome is journaled and traced
+    either way, and a fresh one is published to the cache.
+    """
     outcome = None
     if cache is not None:
         from repro.cache import cached_outcome
@@ -149,6 +217,7 @@ def _execute(task: CellTask, index: int,
     replayed = outcome is not None
     if outcome is None:
         executor = task.executor if task.executor is not None else fallback
+        assert executor is not None, "a task without an executor"
         compile_fn = task.compile_fn
         if memo is not None and task.stages_fn is not None:
             stages_fn = task.stages_fn
@@ -180,6 +249,212 @@ def _execute(task: CellTask, index: int,
                       entry=entry, resumed=False)
 
 
+# -- pools ---------------------------------------------------------------
+class CellPool:
+    """Where :func:`drain` runs cells, plus the hooks it calls.
+
+    The defaults describe a pool that never loses a cell: every cell
+    may be dispatched, nothing needs watching, and any exception a
+    future raises is a harness error.
+    """
+
+    #: Cells the pool runs at once.
+    capacity = 1
+    #: Seconds :func:`drain` waits for a result before it calls
+    #: :meth:`patrol` again (``None`` blocks until a cell finishes).
+    tick: float | None = None
+    #: Whether cells complete in dispatch order, so task-order
+    #: dispatch can fire callbacks in strict task order.
+    in_order = False
+
+    def submit(self, index: int, task: Any) -> Future:
+        raise NotImplementedError
+
+    def eligible(self, queue: list[Pending],
+                 inflight: dict[Future, Pending]) -> Sequence[int]:
+        """Positions in ``queue`` that may be dispatched now."""
+        return range(len(queue))
+
+    def patrol(self, inflight: dict[Future, Pending]) -> None:
+        """Watch the running cells between waits."""
+
+    def broken(self, exc: BaseException) -> bool:
+        """Whether ``exc`` means the pool died under its cell."""
+        return False
+
+    def recover(self, lost: list[Pending]
+                ) -> list[tuple[int, Any, CellResult | None]]:
+        """Resolve cells lost to a broken pool: each comes back with
+        its final result, or ``None`` to dispatch it again."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Release the pool's workers and files."""
+
+
+class InlinePool(CellPool):
+    """Runs each cell on the calling thread as it is submitted."""
+
+    in_order = True
+
+    def __init__(self, run: Callable[[Any, int], CellResult]) -> None:
+        self.run = run
+
+    def submit(self, index: int, task: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(self.run(task, index))
+        except Exception as exc:  # noqa: BLE001 — the drain re-raises
+            future.set_exception(exc)
+        return future
+
+
+class ThreadPool(CellPool):
+    """Runs cells on ``workers`` threads sharing the caller's memory."""
+
+    def __init__(self, run: Callable[[Any, int], CellResult],
+                 workers: int) -> None:
+        self.run = run
+        self.capacity = workers
+        self._pool = ThreadPoolExecutor(max_workers=workers,
+                                        thread_name_prefix="campaign")
+
+    def submit(self, index: int, task: Any) -> Future:
+        return self._pool.submit(self.run, task, index)
+
+    def close(self) -> None:
+        self._pool.shutdown(wait=True)
+
+
+# -- the dispatch loop ---------------------------------------------------
+def resume_skip(cells: Sequence[Any],
+                journal: SweepJournal | ShardedJournal | None,
+                resume: bool, retry_failed: bool,
+                tracer: "TraceRecorder | None" = None,
+                ) -> tuple[list[CellResult | None], list[Pending]]:
+    """Restore journaled cells; return the results so far and what is
+    left to run.
+
+    With ``resume``, a cell whose key the journal holds a final
+    outcome for resolves as a resumed result (journaled failures too,
+    unless ``retry_failed``); every other cell is pending.
+    """
+    journaled: dict[str, JournalEntry] = {}
+    if resume and journal is not None:
+        journaled = journal.load()
+    results: list[CellResult | None] = [None] * len(cells)
+    pending: list[Pending] = []
+    for index, cell in enumerate(cells):
+        entry = journaled.get(cell.key)
+        if (entry is not None and entry.finished
+                and not (retry_failed and entry.failed)):
+            results[index] = CellResult(index=index, key=cell.key,
+                                        outcome=None, entry=entry,
+                                        resumed=True)
+            if tracer is not None:
+                tracer.emit("resume", key=cell.key, status=entry.status)
+        else:
+            pending.append((index, cell))
+    return results, pending
+
+
+def drain(results: list[CellResult | None], pending: list[Pending],
+          pool: CellPool, *,
+          scheduler: "Scheduler | None" = None,
+          on_result: Callable[[CellResult], None] | None = None,
+          tracer: "TraceRecorder | None" = None) -> list[CellResult]:
+    """Run every pending cell on ``pool``; return all results in order.
+
+    ``results`` holds the resumed cells already (see
+    :func:`resume_skip`). Each free slot takes the scheduler's pick
+    from the eligible pending cells, or the queue head. The first
+    harness error stops dispatch; the running cells finish and the
+    error is re-raised. The pool is closed and the scheduler's ledger
+    flushed on the way out, whatever path the drain took.
+    """
+    queue = list(pending)
+    inflight: dict[Future, Pending] = {}
+    first_error: BaseException | None = None
+    ordered = pool.in_order and (scheduler is None
+                                 or scheduler.is_lane_major)
+    announced = 0  # ordered: callbacks have fired for results[:announced]
+
+    def announce(result: CellResult) -> None:
+        nonlocal announced
+        if on_result is None:
+            return
+        if not ordered:
+            on_result(result)
+            return
+        while announced < len(results) and results[announced] is not None:
+            on_result(results[announced])  # type: ignore[arg-type]
+            announced += 1
+
+    def deliver(task: Any, result: CellResult) -> None:
+        results[result.index] = result
+        if first_error is not None:
+            return
+        if scheduler is not None and not result.resumed:
+            scheduler.observe(task, result.elapsed)
+        announce(result)
+
+    try:
+        # Resumed cells resolve first — at their own positions when
+        # ordered.
+        for result in [r for r in results if r is not None]:
+            announce(result)
+        while True:
+            while (queue and first_error is None
+                   and len(inflight) < pool.capacity):
+                positions = pool.eligible(queue, inflight)
+                if not positions:
+                    break
+                choice = (scheduler.pick([queue[p] for p in positions])
+                          if scheduler is not None else 0)
+                index, task = queue.pop(positions[choice])
+                if tracer is not None:
+                    tracer.emit("dispatch", key=task.key)
+                inflight[pool.submit(index, task)] = (index, task)
+            if not inflight:
+                break
+            done, _ = wait(inflight, timeout=pool.tick,
+                           return_when=FIRST_COMPLETED)
+            lost: list[Pending] = []
+            for future in done:
+                index, task = inflight.pop(future)
+                try:
+                    result = future.result()
+                except BaseException as exc:  # noqa: BLE001 — re-raised
+                    if pool.broken(exc):
+                        lost.append((index, task))
+                    elif first_error is None:
+                        first_error = exc
+                        queue.clear()
+                    continue
+                deliver(task, result)
+            if lost:
+                # The pool died: every cell still in it went down too.
+                lost.extend(inflight.values())
+                inflight.clear()
+                if first_error is None:
+                    for index, task, result in pool.recover(lost):
+                        if result is None:
+                            queue.append((index, task))
+                        else:
+                            deliver(task, result)
+                    queue.sort(key=lambda item: item[0])
+            elif first_error is None:
+                pool.patrol(inflight)
+    finally:
+        pool.close()
+        if scheduler is not None:
+            scheduler.flush()
+    if first_error is not None:
+        raise first_error
+    return [r for r in results if r is not None]
+
+
+# -- entry points --------------------------------------------------------
 def run_cell_tasks(
     tasks: list[CellTask], *,
     max_workers: int = 1,
@@ -192,18 +467,19 @@ def run_cell_tasks(
     cache: "CompileCache | None" = None,
     memo: "StageMemo | None" = None,
 ) -> list[CellResult]:
-    """Execute every task; return results in task order.
+    """Execute every task in this process; return results in task order.
 
+    Cells run on the :class:`InlinePool` when ``max_workers == 1`` or
+    at most one cell is pending, else on a :class:`ThreadPool`.
     ``on_result`` fires once per cell as it resolves (resumed cells
-    resolve immediately). Under ``max_workers=1`` that is strict task
-    order; under a pool it is completion order — still exactly once
-    per cell.
+    resolve immediately). On the inline pool that is strict task
+    order; on a thread pool it is completion order.
 
     ``scheduler`` (a :class:`~repro.campaign.scheduler.Scheduler`)
     reorders *dispatch* only: it picks which pending cell each free
     worker takes next and is told what every cell actually cost.
     Results, journal keys, and resume behaviour are identical under
-    every schedule; a non-lane-major schedule with ``max_workers=1``
+    every schedule; a non-lane-major schedule on the inline pool
     executes cells in predicted-cost order, so ``on_result`` fires in
     dispatch order rather than task order (resumed cells still resolve
     first, in task order).
@@ -224,207 +500,86 @@ def run_cell_tasks(
     compile-side complement of ``cache``, sharing upstream work (graph
     build, partitioning) between cells that differ only downstream.
     """
-    journaled: dict[str, JournalEntry] = {}
-    if resume and journal is not None:
-        journaled = journal.load()
-
-    results: list[CellResult | None] = [None] * len(tasks)
-    pending: list[tuple[int, CellTask]] = []
-    for index, task in enumerate(tasks):
-        entry = journaled.get(task.key)
-        if (entry is not None and entry.finished
-                and not (retry_failed and entry.failed)):
-            results[index] = CellResult(index=index, key=task.key,
-                                        outcome=None, entry=entry,
-                                        resumed=True)
-            if tracer is not None:
-                tracer.emit("resume", key=task.key, status=entry.status)
-        else:
-            pending.append((index, task))
-
+    results, pending = resume_skip(tasks, journal, resume, retry_failed,
+                                   tracer)
     fallback = ResilientExecutor()
 
-    try:
-        if max_workers <= 1 or len(pending) <= 1:
-            if scheduler is None or scheduler.is_lane_major:
-                # The pre-scheduler sequential path: strict task order,
-                # resumed callbacks interleaved at their positions. A
-                # lane-major scheduler observes each cell but never
-                # reorders (its pick is always the queue head).
-                queue = list(pending)
-                for index, task in enumerate(tasks):
-                    result = results[index]
-                    if result is None:
-                        if scheduler is not None:
-                            queue.pop(scheduler.pick(queue))
-                        if tracer is not None:
-                            tracer.emit("dispatch", key=task.key)
-                        result = _execute(task, index, journal, fallback,
-                                          tracer, cache, memo)
-                        results[index] = result
-                        if scheduler is not None:
-                            scheduler.observe(task, result.elapsed)
-                    if on_result is not None:
-                        on_result(result)
-                return [r for r in results if r is not None]
-            # Cost-ordered sequential run: resumed cells resolve first
-            # (in task order), then cells execute in scheduler order.
-            if on_result is not None:
-                for result in results:
-                    if result is not None:
-                        on_result(result)
-            queue = list(pending)
-            while queue:
-                index, task = queue.pop(scheduler.pick(queue))
-                if tracer is not None:
-                    tracer.emit("dispatch", key=task.key)
-                result = _execute(task, index, journal, fallback, tracer,
-                                  cache, memo)
-                results[index] = result
-                scheduler.observe(task, result.elapsed)
-                if on_result is not None:
-                    on_result(result)
-            return [r for r in results if r is not None]
+    def run(task: CellTask, index: int) -> CellResult:
+        return execute_cell(task, index, journal, fallback, tracer, cache,
+                            memo)
 
-        # Resumed cells resolve first, in order; executed cells as
-        # completed.
-        if on_result is not None:
-            for result in results:
-                if result is not None:
-                    on_result(result)
-
-        if scheduler is None:
-            return _run_pooled(pending, results, max_workers, journal,
-                               fallback, on_result, tracer=tracer,
-                               cache=cache, memo=memo)
-        return _run_pooled_scheduled(pending, results, max_workers,
-                                     journal, fallback, on_result,
-                                     scheduler, tracer=tracer, cache=cache,
-                                     memo=memo)
-    finally:
-        if scheduler is not None:
-            scheduler.flush()
-
-
-def _thread_pool(workers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=workers,
-                              thread_name_prefix="campaign")
-
-
-def _run_pooled(
-    pending: list[tuple[int, CellTask]],
-    results: list[CellResult | None],
-    max_workers: int,
-    journal: SweepJournal | ShardedJournal | None,
-    fallback: ResilientExecutor | None,
-    on_result: Callable[[CellResult], None] | None,
-    pool_factory: Callable[[int], Any] = _thread_pool,
-    submit_fn: Callable[..., Any] | None = None,
-    tracer: "TraceRecorder | None" = None,
-    cache: "CompileCache | None" = None,
-    memo: "StageMemo | None" = None,
-) -> list[CellResult]:
-    """The unscheduled pool: submit everything, collect as completed.
-
-    ``pool_factory`` / ``submit_fn`` let
-    :mod:`repro.campaign.process` reuse this drain (identical
-    error/cancel/callback semantics) over a process pool executing
-    picklable cell specs instead of in-process tasks.
-    """
-    if submit_fn is None:
-        def submit_fn(pool: Any, index: int, task: CellTask) -> Any:
-            return pool.submit(_execute, task, index, journal, fallback,
-                               tracer, cache, memo)
-
-    def dispatch(pool: Any, index: int, task: CellTask) -> Any:
-        if tracer is not None:
-            tracer.emit("dispatch", key=task.key)
-        return submit_fn(pool, index, task)
-    first_error: BaseException | None = None
-    with pool_factory(min(max_workers, len(pending))) as pool:
-        futures = {dispatch(pool, index, task)
-                   for index, task in pending}
-        while futures:
-            done, futures = wait(futures, return_when=FIRST_COMPLETED)
-            for future in done:
-                if future.cancelled():
-                    continue
-                try:
-                    result = future.result()
-                except BaseException as exc:  # noqa: BLE001 — re-raised
-                    if first_error is None:
-                        first_error = exc
-                        for other in futures:
-                            other.cancel()
-                    continue
-                results[result.index] = result
-                if on_result is not None and first_error is None:
-                    on_result(result)
-    if first_error is not None:
-        raise first_error
-    return [r for r in results if r is not None]
-
-
-def _run_pooled_scheduled(
-    pending: list[tuple[int, CellTask]],
-    results: list[CellResult | None],
-    max_workers: int,
-    journal: SweepJournal | ShardedJournal | None,
-    fallback: ResilientExecutor | None,
-    on_result: Callable[[CellResult], None] | None,
-    scheduler: "Scheduler",
-    pool_factory: Callable[[int], Any] = _thread_pool,
-    submit_fn: Callable[..., Any] | None = None,
-    tracer: "TraceRecorder | None" = None,
-    cache: "CompileCache | None" = None,
-    memo: "StageMemo | None" = None,
-) -> list[CellResult]:
-    """The scheduled pool: incremental dispatch, one pick per free slot.
-
-    Cells are submitted one at a time as workers free up, so an online
-    predictor's observations from finished cells inform which pending
-    cell is picked next. Lane-major picks are always the queue head —
-    FIFO, exactly the dispatch order of the submit-everything pool. A
-    harness error (non-:class:`~repro.common.errors.ReproError`) stops
-    further dispatch, drains the in-flight cells, and re-raises, same
-    as the unscheduled pool. ``pool_factory`` / ``submit_fn`` swap the
-    pool exactly as in :func:`_run_pooled`.
-    """
-    if submit_fn is None:
-        def submit_fn(pool: Any, index: int, task: CellTask) -> Any:
-            return pool.submit(_execute, task, index, journal, fallback,
-                               tracer, cache, memo)
-    first_error: BaseException | None = None
-    queue = list(pending)
     workers = min(max_workers, len(pending))
-    with pool_factory(workers) as pool:
-        inflight: dict[Any, CellTask] = {}
+    pool = ThreadPool(run, workers) if workers > 1 else InlinePool(run)
+    return drain(results, pending, pool, scheduler=scheduler,
+                 on_result=on_result, tracer=tracer)
 
-        def submit_next() -> None:
-            index, task = queue.pop(scheduler.pick(queue))
-            if tracer is not None:
-                tracer.emit("dispatch", key=task.key)
-            inflight[submit_fn(pool, index, task)] = task
-        while queue and len(inflight) < workers:
-            submit_next()
-        while inflight:
-            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-            for future in done:
-                task = inflight.pop(future)
-                try:
-                    result = future.result()
-                except BaseException as exc:  # noqa: BLE001 — re-raised
-                    if first_error is None:
-                        first_error = exc
-                        queue.clear()
-                    continue
-                results[result.index] = result
-                if first_error is None:
-                    scheduler.observe(task, result.elapsed)
-                    if on_result is not None:
-                        on_result(result)
-                    while queue and len(inflight) < workers:
-                        submit_next()
-    if first_error is not None:
-        raise first_error
-    return [r for r in results if r is not None]
+
+def run_cells(cells: "list[CellSpec]",
+              backends: "dict[str, AcceleratorBackend]",
+              policy: "ExecutionPolicy", *,
+              api: str,
+              executor_for: Callable[[str], ResilientExecutor],
+              breakers: bool,
+              on_result: Callable[[CellResult], None] | None = None,
+              scheduler: "Scheduler | None" = None,
+              tracer: "TraceRecorder | None" = None,
+              cache: "CompileCache | None" = None,
+              injected_clock: bool = False,
+              ) -> "tuple[list[CellResult], SupervisionStats | None]":
+    """Run cell specs under ``policy``'s dispatch; results in order.
+
+    ``backends`` maps each cell's ``lane`` to its backend. Thread
+    dispatch builds one executor per lane with ``executor_for(lane)``
+    and runs :func:`run_cell_tasks`; process dispatch ships the specs
+    to supervised workers that build their own executors (with a
+    circuit breaker per lane when ``breakers``) and returns the
+    supervision telemetry too. ``api`` and ``injected_clock`` word
+    and widen the check of what cannot cross a process boundary.
+    """
+    journal = policy.normalized_journal()
+    common: dict[str, Any] = dict(
+        max_workers=policy.max_workers, journal=journal,
+        resume=policy.resume, retry_failed=policy.retry_failed,
+        on_result=on_result, scheduler=scheduler, tracer=tracer)
+    if policy.dispatch == DISPATCH_PROCESS:
+        from repro.campaign.process import (
+            WorkerSpec,
+            check_process_policy,
+            run_cell_specs,
+        )
+        check_process_policy(policy, journal, api=api,
+                             injected_clock=injected_clock)
+        assert journal is None or isinstance(journal, ShardedJournal)
+        trace_dir = policy.trace_directory()
+        worker = WorkerSpec(
+            backends=dict(backends),
+            retry=policy.retry,
+            deadline=policy.deadline,
+            breakers=breakers,
+            breaker_threshold=policy.breaker_threshold,
+            breaker_reset=policy.breaker_reset,
+            journal_dir=(str(journal.directory)
+                         if journal is not None else None),
+            journal_prefix=(journal.prefix if journal is not None
+                            else "shard"),
+            trace_dir=str(trace_dir) if trace_dir is not None else None,
+            trace_run=tracer.run if tracer is not None else "",
+            cache_dir=(str(cache.directory) if cache is not None
+                       else None),
+            stage_memo=policy.stage_memo,
+        )
+        supervisor = policy.make_supervisor(
+            tracer, families={cell.family for cell in cells})
+        results = run_cell_specs(cells, worker=worker,
+                                 supervisor=supervisor, **common)
+        return results, supervisor.stats()
+    memo = None
+    if policy.stage_memo:
+        from repro.cache import StageMemo
+        memo = StageMemo(spill=cache)
+    executors = {lane: executor_for(lane) for lane in backends}
+    serializers = {lane: None if backend.thread_safe else threading.Lock()
+                   for lane, backend in backends.items()}
+    tasks = [cell_task(cell, backends[cell.lane], executors[cell.lane],
+                       serializers[cell.lane]) for cell in cells]
+    return run_cell_tasks(tasks, cache=cache, memo=memo, **common), None

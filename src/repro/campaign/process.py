@@ -1,10 +1,13 @@
-"""Process-based campaign dispatch: picklable cells, per-process state.
+"""Process dispatch: picklable cells and the per-process worker harness.
 
-Thread dispatch (:func:`~repro.campaign.engine.run_cell_tasks`) shares
-one address space, so tasks can carry closures and every worker writes
-the same journal instance. The simulator backends, though, are pure
-Python — CPU-bound cells serialize on the GIL and a thread pool buys
-no wall-clock at all. This module supplies the process path:
+Thread dispatch shares one address space, so tasks can carry closures
+and every worker writes the same journal instance. The simulator
+backends, though, are pure Python — CPU-bound cells serialize on the
+GIL and a thread pool buys no wall-clock at all. Process dispatch runs
+the same :func:`~repro.campaign.engine.drain` loop over a supervised
+process pool (:class:`~repro.campaign.supervisor.Supervisor`); this
+module supplies what crosses the process boundary and what runs on
+the far side of it:
 
 * :class:`CellSpec` — a *picklable* description of one cell (no
   closures): key, lane, (model, train, options), and the cost
@@ -12,11 +15,12 @@ no wall-clock at all. This module supplies the process path:
 * :class:`WorkerSpec` — everything a worker process needs to rebuild
   the harness once: the lane backends plus the retry / deadline /
   breaker settings of the :class:`~repro.resilience.ExecutionPolicy`;
-* :func:`run_cell_specs` — the parent-side engine. It resume-skips
-  from the journal exactly like the thread engine, then drives a
-  :class:`~concurrent.futures.ProcessPoolExecutor` through the same
-  drain loops (spec-ordered results, exactly-once callbacks, identical
-  error/cancel semantics).
+* :class:`CampaignWorker` — the per-process harness; it turns each
+  spec into a task (:func:`~repro.campaign.engine.cell_task`) and runs
+  it through the same :func:`~repro.campaign.engine.execute_cell` as
+  thread dispatch;
+* :func:`run_cell_specs` — the parent-side entry point: the shared
+  resume-skip, then the drain on the supervised pool.
 
 Each worker process builds its own
 :class:`~repro.resilience.ResilientExecutor` + circuit breaker per
@@ -44,25 +48,25 @@ import os
 import pickle
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.campaign.engine import (
     CellResult,
-    _run_pooled,
-    _run_pooled_scheduled,
+    cell_task,
+    drain,
+    execute_cell,
+    resume_skip,
 )
-from repro.campaign.supervisor import write_heartbeat
+from repro.campaign.supervisor import Supervisor, write_heartbeat
 from repro.common.errors import ConfigurationError
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.executor import ResilientExecutor
-from repro.resilience.journal import JournalEntry, ShardedJournal
+from repro.resilience.journal import ShardedJournal
 from repro.resilience.retry import RetryPolicy
 
 if TYPE_CHECKING:
     from repro.campaign.scheduler import Scheduler
-    from repro.campaign.supervisor import Supervisor
     from repro.core.backend import AcceleratorBackend
     from repro.models.config import ModelConfig, TrainConfig
     from repro.resilience.policy import ExecutionPolicy
@@ -175,49 +179,10 @@ class CampaignWorker:
 
     def execute(self, index: int, cell: CellSpec) -> CellResult:
         """Run one cell to a journaled :class:`CellResult`."""
-        outcome = None
-        fingerprint = getattr(cell, "fingerprint", None)
-        if self.cache is not None:
-            from repro.cache import cached_outcome
-            outcome = cached_outcome(self.cache, cell.key, fingerprint,
-                                     self.tracer)
-        replayed = outcome is not None
-        if outcome is None:
-            backend = self.spec.backends[cell.lane]
-            run_fn = ((lambda compiled: backend.run(compiled))
-                      if cell.measure else None)
-            if self.memo is not None:
-                from repro.core.stages import run_stages
-
-                def compile_fn() -> Any:
-                    return run_stages(
-                        backend.compile_pipeline(cell.model, cell.train,
-                                                 **cell.options),
-                        self.memo, key=cell.key, tracer=self.tracer)
-            else:
-                def compile_fn() -> Any:
-                    return backend.compile(cell.model, cell.train,
-                                           **cell.options)
-            outcome = self.executors[cell.lane].execute(
-                cell.key,
-                compile_fn,
-                run_fn,
-                is_transient=backend.is_transient,
-            )
-        entry: JournalEntry | None = None
-        if self.journal is not None:
-            entry = outcome.journal_entry()
-            self.journal.record(entry)
-        if self.tracer is not None:
-            self.tracer.emit("cell", key=cell.key,
-                             status=outcome.status,
-                             attempt=outcome.attempts,
-                             duration=outcome.elapsed)
-        if self.cache is not None and not replayed:
-            from repro.cache import store_outcome
-            store_outcome(self.cache, fingerprint, outcome)
-        return CellResult(index=index, key=cell.key, outcome=outcome,
-                          entry=entry, resumed=False)
+        task = cell_task(cell, self.spec.backends[cell.lane],
+                         self.executors[cell.lane])
+        return execute_cell(task, index, self.journal, tracer=self.tracer,
+                            cache=self.cache, memo=self.memo)
 
 
 class _WorkerHeartbeat:
@@ -278,35 +243,30 @@ class _WorkerHeartbeat:
 #: The process-local worker, set once by :func:`_init_worker`.
 _WORKER: CampaignWorker | None = None
 
-#: The process-local heartbeat stamper (None when unsupervised).
+#: The process-local heartbeat stamper, set with the worker.
 _HEARTBEAT: _WorkerHeartbeat | None = None
 
 
-def _init_worker(payload: bytes, heartbeat_dir: str | None = None,
-                 heartbeat_interval: float = 5.0,
-                 pool_token: str = "") -> None:
-    """Pool initializer: rebuild the harness from the pickled seed.
+def _init_worker(payload: bytes, heartbeat_dir: str,
+                 heartbeat_interval: float, pool_token: str) -> None:
+    """Pool initializer: rebuild the harness from the pickled seed and
+    start the heartbeat stamper the supervisor watches.
 
     The seed is shipped as explicit pickle bytes (not raw ``initargs``)
     so fork- and spawn-started pools behave identically and every
     worker gets its own deep copy of backend state — fault-plan RNGs
-    included, which keeps injection deterministic *per worker*. Under
-    a :class:`~repro.campaign.supervisor.Supervisor` the initializer
-    also starts the heartbeat stamper.
+    included, which keeps injection deterministic *per worker*.
     """
     global _WORKER, _HEARTBEAT
     _WORKER = CampaignWorker(pickle.loads(payload))
-    _HEARTBEAT = None
-    if heartbeat_dir is not None:
-        _HEARTBEAT = _WorkerHeartbeat(heartbeat_dir,
-                                      heartbeat_interval, pool_token)
-        _HEARTBEAT.start()
+    _HEARTBEAT = _WorkerHeartbeat(heartbeat_dir, heartbeat_interval,
+                                  pool_token)
+    _HEARTBEAT.start()
 
 
 def _execute_cell(index: int, cell: CellSpec) -> CellResult:
-    assert _WORKER is not None, "pool initializer did not run"
-    if _HEARTBEAT is None:
-        return _WORKER.execute(index, cell)
+    assert _WORKER is not None and _HEARTBEAT is not None, \
+        "pool initializer did not run"
     _HEARTBEAT.mark(cell.key)
     try:
         return _WORKER.execute(index, cell)
@@ -358,82 +318,33 @@ def run_cell_specs(
     retry_failed: bool = False,
     on_result: Callable[[CellResult], None] | None = None,
     scheduler: "Scheduler | None" = None,
-    supervisor: "Supervisor | None" = None,
+    supervisor: Supervisor | None = None,
     tracer: Any = None,
 ) -> list[CellResult]:
     """Execute every cell spec across a process pool; results in order.
 
     The process-dispatch twin of
-    :func:`~repro.campaign.engine.run_cell_tasks`, with the same
-    guarantees: results come back in spec order, ``on_result`` fires
-    exactly once per cell (resumed cells first, in spec order), the
-    ``scheduler`` reorders dispatch only and is fed each cell's
-    measured seconds, and a harness error cancels undispatched cells
-    and re-raises after the drain. Journaling happens *in the
-    workers* — each process appends finished cells to its own shard,
-    fsynced before the result travels home, so a killed campaign
-    resumes exactly-once from whatever reached disk.
+    :func:`~repro.campaign.engine.run_cell_tasks`: the same resume-skip
+    and the same :func:`~repro.campaign.engine.drain`, so the same
+    ordering, callback, scheduling and error guarantees. Journaling
+    happens *in the workers* — each process appends finished cells to
+    its own shard, fsynced before the result travels home, so a killed
+    campaign resumes exactly-once from whatever reached disk.
 
-    With a ``supervisor`` the drain additionally survives worker
-    death: crashed/wedged workers are detected (heartbeats), killed
-    (hard deadlines), and the pool is rebuilt with exactly-once resume
-    from the journal — see :class:`~repro.campaign.supervisor.Supervisor`.
+    The pool is always supervised — by ``supervisor``, or a default
+    :class:`~repro.campaign.supervisor.Supervisor` — so the drain also
+    survives worker death: crashed/wedged workers are detected
+    (heartbeats), killed (hard deadlines), and the pool is rebuilt
+    with exactly-once resume from the journal.
     """
-    journaled: dict[str, JournalEntry] = {}
-    if resume and journal is not None:
-        journaled = journal.load()
-
-    results: list[CellResult | None] = [None] * len(cells)
-    pending: list[tuple[int, CellSpec]] = []
-    for index, cell in enumerate(cells):
-        entry = journaled.get(cell.key)
-        if (entry is not None and entry.finished
-                and not (retry_failed and entry.failed)):
-            results[index] = CellResult(index=index, key=cell.key,
-                                        outcome=None, entry=entry,
-                                        resumed=True)
-            if tracer is not None:
-                tracer.emit("resume", key=cell.key, status=entry.status)
-        else:
-            pending.append((index, cell))
-
-    try:
-        if on_result is not None:
-            for result in results:
-                if result is not None:
-                    on_result(result)
-        if not pending:
-            return [r for r in results if r is not None]
-
-        payload = _seed_bytes(worker, [cell for _, cell in pending])
-
-        if supervisor is not None:
-            return supervisor.run(pending, results, worker=worker,
-                                  payload=payload,
-                                  max_workers=max_workers,
-                                  journal=journal, on_result=on_result,
-                                  scheduler=scheduler)
-
-        def pool_factory(workers: int) -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(max_workers=workers,
-                                       initializer=_init_worker,
-                                       initargs=(payload,))
-
-        def submit_fn(pool: ProcessPoolExecutor, index: int,
-                      cell: CellSpec) -> Any:
-            return pool.submit(_execute_cell, index, cell)
-
-        if scheduler is None:
-            return _run_pooled(pending, results, max_workers, None,
-                               None, on_result,
-                               pool_factory=pool_factory,
-                               submit_fn=submit_fn, tracer=tracer)
-        return _run_pooled_scheduled(pending, results, max_workers,
-                                     None, None, on_result, scheduler,
-                                     pool_factory=pool_factory,
-                                     submit_fn=submit_fn, tracer=tracer)
-    finally:
-        # The parent-side ledger batches observations in memory; one
-        # save per drain, whatever path (or error) the drain took.
-        if scheduler is not None:
-            scheduler.flush()
+    results, pending = resume_skip(cells, journal, resume, retry_failed,
+                                   tracer)
+    if supervisor is None:
+        supervisor = Supervisor(tracer=tracer)
+    # The seed pickles (and is checked) only when a worker will start.
+    payload = (_seed_bytes(worker, [cell for _, cell in pending])
+               if pending else b"")
+    supervisor.bind(payload, workers=min(max_workers, len(pending)),
+                    journal=journal)
+    return drain(results, pending, supervisor, scheduler=scheduler,
+                 on_result=on_result, tracer=tracer)

@@ -118,10 +118,10 @@ class CostPredictor(Protocol):
 class AnalyticCostPredictor:
     """Static predictor: the task's stamped analytic cost hint.
 
-    Task producers (:class:`~repro.campaign.Campaign` and
-    :func:`~repro.workloads.sweeps.cell_tasks`) stamp every task with
-    :func:`estimate_cell_seconds`; this predictor simply trusts it and
-    ignores observations.
+    :func:`~repro.workloads.sweeps.sweep_cells` (behind
+    :class:`~repro.campaign.Campaign` and ``run_grid``) stamps every
+    cell with :func:`estimate_cell_seconds`; this predictor simply
+    trusts it and ignores observations.
     """
 
     name = PREDICTOR_ANALYTIC

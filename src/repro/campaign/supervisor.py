@@ -1,42 +1,49 @@
-"""Supervised process dispatch: heartbeats, hard kills, quarantine.
+"""The supervised process pool: heartbeats, hard kills, quarantine.
 
-Process dispatch (PR 4) made campaigns parallel; this module makes
-them *self-healing*. A worker that is SIGKILL'd, OOM-killed, or truly
-wedged used to surface as ``BrokenProcessPool`` and abort the whole
-campaign, and per-cell deadlines were only cooperative — a hung
-backend call could stall a lane forever. The :class:`Supervisor` wraps
-the process-pool drain with four mechanisms:
+Process dispatch runs the engine's one
+:func:`~repro.campaign.engine.drain` loop over a
+:class:`Supervisor` — the engine's third
+:class:`~repro.campaign.engine.CellPool`, beside the inline and thread
+pools. It makes process campaigns *self-healing*: a worker that is
+SIGKILL'd, OOM-killed, or truly wedged surfaces as
+``BrokenProcessPool``, and per-cell deadlines inside a worker are only
+cooperative — a hung backend call could stall a lane forever. The
+drain calls the supervisor's hooks for four mechanisms:
 
-* **Heartbeats** — each worker process stamps a monotonic beat (plus
-  its in-flight cell key) into an ``hb-<pid>.json`` file in the
-  journal directory on every ``heartbeat_interval``; the dispatcher
-  polls them between future waits. Heartbeat files carry a per-pool
-  token, so stale files from a previous pool era are ignored.
-* **Hard deadline enforcement** — a worker whose in-flight cell has
-  been running longer than ``deadline * grace_factor`` wall-clock
-  seconds, or whose heartbeat is older than
-  ``heartbeat_interval * grace_factor``, is SIGKILL'd. The worker's
-  own watchdog normally cuts a hang at ``deadline`` — the supervisor
-  is the backstop for workers too wedged to self-report (a stopped
-  process freezes its watchdog and heartbeat threads too).
-* **Poison-cell quarantine** — crash attribution is conservative:
+* **Heartbeats** (:meth:`Supervisor.patrol`, every poll tick of
+  ``min(0.25, max(0.02, heartbeat_interval / 2))`` seconds) — each
+  worker process stamps a monotonic beat (plus its in-flight cell key)
+  into an ``hb-<pid>.json`` file in the journal directory on every
+  ``heartbeat_interval``. Heartbeat files carry a per-pool token, so
+  stale files from a previous pool era are ignored.
+* **Hard deadline enforcement** (also :meth:`~Supervisor.patrol`) — a
+  worker whose in-flight cell has been running longer than
+  ``deadline * grace_factor`` wall-clock seconds, or whose heartbeat
+  is older than ``heartbeat_interval * grace_factor``, is SIGKILL'd.
+  The worker's own watchdog normally cuts a hang at ``deadline`` — the
+  supervisor is the backstop for workers too wedged to self-report (a
+  stopped process freezes its watchdog and heartbeat threads too).
+* **Poison-cell quarantine** (:meth:`~Supervisor.eligible` and
+  :meth:`~Supervisor.recover`) — crash attribution is conservative:
   when the pool breaks, every in-flight cell that did not reach the
   journal becomes a *suspect* and is re-run one at a time in
   isolation; completing clears suspicion, crashing alone is
   unambiguous. A cell that kills its worker ``quarantine_after``
   times is journaled as a final ``QuarantinedError`` failure instead
   of being retried forever.
-* **Pool rebuild with exactly-once resume** — after a break the pool
+* **Pool rebuild with exactly-once resume** (:meth:`~Supervisor.recover`
+  and the next :meth:`~Supervisor.submit`) — after a break the pool
   is rebuilt (up to ``max_pool_rebuilds`` times) and work resumes
   from the :class:`~repro.resilience.ShardedJournal`: cells whose
   results were lost in the broken pipe but whose journal entries
   reached disk are restored (as resumed cells), never re-executed.
 
-The PR 2/3/4 invariants survive: results stay spec-ordered,
-``on_result`` fires exactly once per cell, the scheduler keeps its
-cost feedback, a harness error (non-pool-related) still cancels and
-re-raises, and the canonical ``merged_text()`` of a crash-recovered
-run is byte-identical to an unfaulted one's for the surviving cells.
+Because the loop is the engine's, the dispatch invariants are the
+same as on threads: results stay spec-ordered, ``on_result`` fires
+exactly once per cell, the scheduler keeps its cost feedback, a
+harness error (non-pool-related) stops dispatch and re-raises, and
+the canonical ``merged_text()`` of a crash-recovered run is
+byte-identical to an unfaulted one's for the surviving cells.
 """
 
 from __future__ import annotations
@@ -47,13 +54,13 @@ import signal
 import tempfile
 import time
 import uuid
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Sequence
 
-from repro.campaign.engine import CellResult
+from repro.campaign.engine import CellPool, CellResult
 from repro.common.errors import (
     DeadlineExceededError,
     ErrorRecord,
@@ -67,8 +74,7 @@ from repro.resilience.journal import (
 )
 
 if TYPE_CHECKING:
-    from repro.campaign.process import CellSpec, WorkerSpec
-    from repro.campaign.scheduler import Scheduler
+    from repro.campaign.process import CellSpec
     from repro.observe import TraceRecorder
 
 __all__ = [
@@ -187,13 +193,17 @@ class SupervisionStats:
         return self.deadline_kills + self.stale_kills
 
 
-class Supervisor:
-    """Drives a process pool with heartbeats, kills, and recovery.
+class Supervisor(CellPool):
+    """The supervised process pool: heartbeats, kills, and recovery.
 
-    One instance supervises one campaign run; :meth:`stats` reports
-    the accumulated telemetry afterwards. Built from an
+    One instance supervises one campaign run as the pool of the
+    engine's :func:`~repro.campaign.engine.drain`; :meth:`stats`
+    reports the accumulated telemetry afterwards. Built from an
     :class:`~repro.resilience.ExecutionPolicy` by
-    :meth:`~repro.resilience.ExecutionPolicy.make_supervisor`.
+    :meth:`~repro.resilience.ExecutionPolicy.make_supervisor`, and
+    given its worker seed, width and journal by :meth:`bind`. The
+    process pool itself starts at the first dispatch and is rebuilt
+    there after a break.
     """
 
     def __init__(self, *, deadline: float | None = None,
@@ -208,12 +218,29 @@ class Supervisor:
         self.quarantine_after = quarantine_after
         self.max_pool_rebuilds = max_pool_rebuilds
         self.tracer = tracer
+        self.tick = min(0.25, max(0.02, heartbeat_interval / 2.0))
         self._deadline_kills = 0
         self._stale_kills = 0
         self._worker_crashes = 0
         self._pool_rebuilds = 0
         self._quarantined: list[str] = []
         self._corrupt_lines = 0
+        # The run being supervised (see bind) and its live pool era.
+        self._payload = b""
+        self._journal: ShardedJournal | None = None
+        self._pool: ProcessPoolExecutor | None = None
+        self._broke: BrokenProcessPool | None = None
+        self._token = ""
+        self._hb_dir: Path | None = None
+        self._own_dir: str | None = None
+        # Journal entries that predate the current era's dispatches.
+        self._baseline: dict[str, JournalEntry] = {}
+        # cell key -> worker crashes it survived unjournaled.
+        self._crashes: dict[str, int] = {}
+        # cell key -> (reason, elapsed) for this era's supervisor kills.
+        self._killed: dict[str, tuple[str, float]] = {}
+        # Keys whose submit failed on an already-broken pool.
+        self._unsent: set[str] = set()
 
     def stats(self) -> SupervisionStats:
         return SupervisionStats(
@@ -229,183 +256,109 @@ class Supervisor:
             max_pool_rebuilds=self.max_pool_rebuilds,
         )
 
-    # ------------------------------------------------------------------
-    def run(self, pending: "list[tuple[int, CellSpec]]",
-            results: list[CellResult | None], *,
-            worker: "WorkerSpec",
-            payload: bytes,
-            max_workers: int,
-            journal: ShardedJournal | None,
-            on_result: Callable[[CellResult], None] | None,
-            scheduler: "Scheduler | None") -> list[CellResult]:
-        """The supervised drain: same contract as the engine pools.
+    def bind(self, payload: bytes, *, workers: int,
+             journal: ShardedJournal | None) -> None:
+        """Set the pickled :class:`~repro.campaign.process.WorkerSpec`
+        every worker starts from, the pool width, and the journal the
+        workers write (heartbeat files go beside its shards)."""
+        self._payload = payload
+        self.capacity = workers
+        self._journal = journal
 
-        ``results`` already holds resume-skipped cells (their
-        callbacks have fired); ``pending`` is what is left to execute.
-        """
-        from repro.campaign.process import _execute_cell, _init_worker
+    # -- the pool hooks ------------------------------------------------
+    def submit(self, index: int, cell: "CellSpec") -> Future:
+        from repro.campaign.process import _execute_cell
 
-        own_dir: str | None = None
-        if journal is not None:
-            hb_dir = Path(journal.directory)
-            hb_dir.mkdir(parents=True, exist_ok=True)
-        else:
-            own_dir = tempfile.mkdtemp(prefix="repro-hb-")
-            hb_dir = Path(own_dir)
-
-        baseline: dict[str, JournalEntry] = {}
-        if journal is not None:
-            baseline = journal.load()
-            self._note_corrupt(journal)
-
-        queue = list(pending)
-        crash_counts: dict[str, int] = {}
-        workers = min(max_workers, len(pending))
-        first_error: BaseException | None = None
-        broke: BrokenProcessPool | None = None
-        tick = min(0.25, max(0.02, self.heartbeat_interval / 2.0))
-
+        pool = self._live_pool()
+        crashes = self._crashes.get(cell.key, 0)
+        if crashes and self.tracer is not None:
+            self.tracer.emit("isolate", key=cell.key, attempt=crashes)
         try:
-            while queue and first_error is None:
-                if broke is not None:  # a previous era broke the pool
-                    self._pool_rebuilds += 1
-                    if self.tracer is not None:
-                        self.tracer.emit("pool-rebuild",
-                                         attempt=self._pool_rebuilds)
-                    if self._pool_rebuilds > self.max_pool_rebuilds:
-                        raise broke
-                    broke = None
-                token = uuid.uuid4().hex
-                self._clear_heartbeats(hb_dir)
-                # (index, cell, wall-clock submit time) per live future.
-                inflight: dict[Any, tuple[int, "CellSpec", float]] = {}
-                # cell key -> (reason, elapsed) for supervisor kills.
-                killed: dict[str, tuple[str, float]] = {}
-                suspect_inflight = False
-                lost: list[tuple[int, "CellSpec"]] = []
+            return pool.submit(_execute_cell, index, cell)
+        except BrokenProcessPool as exc:
+            self._unsent.add(cell.key)
+            future: Future = Future()
+            future.set_exception(exc)
+            return future
 
-                pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_init_worker,
-                    initargs=(payload, str(hb_dir),
-                              self.heartbeat_interval, token))
-                try:
-                    def submit_at(positions: list[int]) -> None:
-                        nonlocal broke, suspect_inflight
-                        cand = [queue[p] for p in positions]
-                        choice = (scheduler.pick(cand)
-                                  if scheduler is not None else 0)
-                        index, cell = queue.pop(positions[choice])
-                        if crash_counts.get(cell.key, 0) > 0:
-                            suspect_inflight = True
-                            if self.tracer is not None:
-                                self.tracer.emit(
-                                    "isolate", key=cell.key,
-                                    attempt=crash_counts[cell.key])
-                        if self.tracer is not None:
-                            self.tracer.emit("dispatch", key=cell.key)
-                        try:
-                            future = pool.submit(_execute_cell, index,
-                                                 cell)
-                        except BrokenProcessPool as exc:
-                            broke = exc
-                            queue.append((index, cell))
-                            queue.sort(key=lambda item: item[0])
-                            return
-                        inflight[future] = (index, cell,
-                                            time.monotonic())
+    def eligible(self, queue: "list[tuple[int, CellSpec]]",
+                 inflight: "dict[Future, tuple[int, CellSpec]]",
+                 ) -> Sequence[int]:
+        """Innocent cells fan out freely; a suspect (survived a pool
+        break unjournaled) flies alone, so a second crash attributes
+        to it unambiguously."""
+        if any(self._crashes.get(cell.key)
+               for _, cell in inflight.values()):
+            return ()
+        innocents = [p for p, (_, cell) in enumerate(queue)
+                     if not self._crashes.get(cell.key)]
+        if innocents or inflight:
+            return innocents
+        return range(len(queue))
 
-                    def fill() -> None:
-                        # Innocent cells fan out freely; a suspect
-                        # (survived a pool break unjournaled) flies
-                        # alone so a second crash attributes to it
-                        # unambiguously.
-                        while (queue and broke is None
-                               and not suspect_inflight
-                               and len(inflight) < workers):
-                            innocents = [
-                                p for p, (_, cell) in enumerate(queue)
-                                if not crash_counts.get(cell.key, 0)]
-                            if innocents:
-                                submit_at(innocents)
-                                continue
-                            if not inflight:
-                                submit_at(list(range(len(queue))))
-                            break
+    def broken(self, exc: BaseException) -> bool:
+        if not isinstance(exc, BrokenProcessPool):
+            return False
+        if self._broke is None:
+            self._broke = exc
+        return True
 
-                    fill()
-                    while inflight and broke is None:
-                        done, _ = wait(set(inflight), timeout=tick,
-                                       return_when=FIRST_COMPLETED)
-                        for future in done:
-                            index, cell, _started = inflight.pop(future)
-                            try:
-                                result = future.result()
-                            except BrokenProcessPool as exc:
-                                if broke is None:
-                                    broke = exc
-                                lost.append((index, cell))
-                                continue
-                            except BaseException as exc:  # noqa: BLE001
-                                # A harness error: cancel + re-raise,
-                                # exactly like the engine pools.
-                                if first_error is None:
-                                    first_error = exc
-                                    queue.clear()
-                                continue
-                            crash_counts.pop(cell.key, None)
-                            suspect_inflight = False
-                            results[index] = result
-                            if (scheduler is not None
-                                    and first_error is None):
-                                scheduler.observe(cell, result.elapsed)
-                            if (on_result is not None
-                                    and first_error is None):
-                                on_result(result)
-                        if broke is None and first_error is None:
-                            self._patrol(hb_dir, token, inflight,
-                                         killed)
-                            fill()
-                    if broke is not None:
-                        lost.extend(
-                            (index, cell)
-                            for index, cell, _started in
-                            inflight.values())
-                        inflight.clear()
-                finally:
-                    pool.shutdown(wait=False, cancel_futures=True)
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
+        if self._hb_dir is not None:
+            self._clear_heartbeats(self._hb_dir)
+        if self._own_dir is not None:
+            try:
+                os.rmdir(self._own_dir)
+            except OSError:
+                pass
+            self._own_dir = None
 
-                if broke is not None and first_error is None:
-                    self._worker_crashes += 1
-                    requeued = self._recover(
-                        lost, killed, baseline, crash_counts,
-                        journal=journal, results=results,
-                        on_result=on_result, scheduler=scheduler)
-                    queue.extend(requeued)
-                    queue.sort(key=lambda item: item[0])
-        finally:
-            self._clear_heartbeats(hb_dir)
-            if own_dir is not None:
-                try:
-                    os.rmdir(own_dir)
-                except OSError:
-                    pass
+    def _live_pool(self) -> ProcessPoolExecutor:
+        """The current era's pool; the first call of the run sets up
+        the heartbeat directory, and the first after a break rebuilds."""
+        if self._pool is not None:
+            return self._pool
+        from repro.campaign.process import _init_worker
 
-        if first_error is not None:
-            raise first_error
-        return [r for r in results if r is not None]
+        if self._hb_dir is None:
+            if self._journal is not None:
+                self._hb_dir = Path(self._journal.directory)
+                self._hb_dir.mkdir(parents=True, exist_ok=True)
+                self._baseline = self._journal.load()
+                self._note_corrupt()
+            else:
+                self._own_dir = tempfile.mkdtemp(prefix="repro-hb-")
+                self._hb_dir = Path(self._own_dir)
+        if self._broke is not None:  # a previous era broke the pool
+            self._pool_rebuilds += 1
+            if self.tracer is not None:
+                self.tracer.emit("pool-rebuild",
+                                 attempt=self._pool_rebuilds)
+            if self._pool_rebuilds > self.max_pool_rebuilds:
+                raise self._broke
+            self._broke = None
+        self._token = uuid.uuid4().hex
+        self._clear_heartbeats(self._hb_dir)
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.capacity,
+            initializer=_init_worker,
+            initargs=(self._payload, str(self._hb_dir),
+                      self.heartbeat_interval, self._token))
+        return self._pool
 
-    # ------------------------------------------------------------------
-    def _patrol(self, hb_dir: Path, token: str,
-                inflight: dict[Any, tuple[int, "CellSpec", float]],
-                killed: dict[str, tuple[str, float]]) -> None:
+    def patrol(self, inflight: "dict[Future, tuple[int, CellSpec]]",
+               ) -> None:
         """One monitoring pass: kill workers past their budgets."""
-        running = {cell.key for _, cell, _ in inflight.values()}
+        assert self._hb_dir is not None
+        running = {cell.key for _, cell in inflight.values()}
         now = time.monotonic()
         stale_after = self.heartbeat_interval * self.grace_factor
         hard_deadline = (self.deadline * self.grace_factor
                          if self.deadline is not None else None)
-        for beat in read_heartbeats(hb_dir, token):
+        for beat in read_heartbeats(self._hb_dir, self._token):
             reason = None
             elapsed = 0.0
             if (hard_deadline is not None and beat.cell in running
@@ -429,7 +382,7 @@ class Supervisor:
             else:
                 self._stale_kills += 1
             if beat.cell is not None:
-                killed[beat.cell] = (reason, elapsed)
+                self._killed[beat.cell] = (reason, elapsed)
             try:
                 beat.path.unlink()
             except OSError:
@@ -456,21 +409,13 @@ class Supervisor:
                 except OSError:
                     pass
 
-    def _note_corrupt(self, journal: ShardedJournal | None) -> None:
-        if journal is not None:
+    def _note_corrupt(self) -> None:
+        if self._journal is not None:
             self._corrupt_lines = max(self._corrupt_lines,
-                                      journal.corrupt_lines)
+                                      self._journal.corrupt_lines)
 
-    # ------------------------------------------------------------------
-    def _recover(self, lost: list[tuple[int, "CellSpec"]],
-                 killed: dict[str, tuple[str, float]],
-                 baseline: dict[str, JournalEntry],
-                 crash_counts: dict[str, int], *,
-                 journal: ShardedJournal | None,
-                 results: list[CellResult | None],
-                 on_result: Callable[[CellResult], None] | None,
-                 scheduler: "Scheduler | None",
-                 ) -> list[tuple[int, "CellSpec"]]:
+    def recover(self, lost: "list[tuple[int, CellSpec]]",
+                ) -> "list[tuple[int, CellSpec, CellResult | None]]":
         """Resolve every cell lost to a pool break.
 
         Journal-finished cells are restored (exactly-once: only
@@ -478,31 +423,37 @@ class Supervisor:
         work); deadline-killed cells finalize as
         ``DeadlineExceededError``; the rest accumulate crash counts
         and are requeued — or quarantined at ``quarantine_after``.
+        Cells whose submit hit the already-broken pool never ran and
+        are simply requeued. The next dispatch rebuilds the pool.
         """
+        assert self._pool is not None
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        self._pool = None
+        self._worker_crashes += 1
         fresh: dict[str, JournalEntry] = {}
-        if journal is not None:
-            fresh = journal.load()
-            self._note_corrupt(journal)
+        if self._journal is not None:
+            fresh = self._journal.load()
+            self._note_corrupt()
 
-        requeued: list[tuple[int, "CellSpec"]] = []
+        resolved: list[tuple[int, CellSpec, CellResult | None]] = []
         for index, cell in sorted(lost, key=lambda item: item[0]):
             key = cell.key
+            if key in self._unsent:
+                resolved.append((index, cell, None))
+                continue
             entry = fresh.get(key)
             if (entry is not None and entry.finished
-                    and entry != baseline.get(key)):
+                    and entry != self._baseline.get(key)):
                 # Finished in the worker; only the result pipe died.
-                baseline[key] = entry
-                crash_counts.pop(key, None)
+                self._baseline[key] = entry
                 if self.tracer is not None:
                     self.tracer.emit("recovered", key=key,
                                      status=entry.status)
-                result = CellResult(index=index, key=key, outcome=None,
-                                    entry=entry, resumed=True)
-                results[index] = result
-                if on_result is not None:
-                    on_result(result)
+                resolved.append((index, cell, CellResult(
+                    index=index, key=key, outcome=None, entry=entry,
+                    resumed=True)))
                 continue
-            reason, elapsed = killed.get(key, (None, 0.0))
+            reason, elapsed = self._killed.get(key, (None, 0.0))
             if reason == "deadline":
                 assert self.deadline is not None
                 record = ErrorRecord.from_exception(
@@ -515,51 +466,42 @@ class Supervisor:
                         elapsed=elapsed,
                         deadline=self.deadline * self.grace_factor),
                     phase="supervise", transient=False)
-                results[index] = self._finalize(
-                    index, cell, record, attempts=1, elapsed=elapsed,
-                    journal=journal, baseline=baseline,
-                    on_result=on_result, scheduler=scheduler)
-                crash_counts.pop(key, None)
+                resolved.append((index, cell, self._finalize(
+                    index, cell, record, attempts=1, elapsed=elapsed)))
                 continue
-            crashes = crash_counts.get(key, 0) + 1
-            crash_counts[key] = crashes
+            crashes = self._crashes.get(key, 0) + 1
+            self._crashes[key] = crashes
             if self.tracer is not None:
                 self.tracer.emit("worker-crash", key=key,
                                  attempt=crashes,
                                  reason=reason or "crash")
-            if crashes >= self.quarantine_after:
-                record = ErrorRecord.from_exception(
-                    QuarantinedError(
-                        f"cell killed its worker process {crashes} "
-                        f"time(s); quarantined to protect the grid",
-                        crashes=crashes),
-                    phase="supervise", transient=False)
-                if self.tracer is not None:
-                    self.tracer.emit("quarantine", key=key,
-                                     attempt=crashes)
-                results[index] = self._finalize(
-                    index, cell, record, attempts=crashes,
-                    elapsed=elapsed, journal=journal,
-                    baseline=baseline, on_result=on_result,
-                    scheduler=scheduler)
-                self._quarantined.append(key)
-                crash_counts.pop(key, None)
-            else:
-                requeued.append((index, cell))
-        return requeued
+            if crashes < self.quarantine_after:
+                resolved.append((index, cell, None))
+                continue
+            record = ErrorRecord.from_exception(
+                QuarantinedError(
+                    f"cell killed its worker process {crashes} "
+                    f"time(s); quarantined to protect the grid",
+                    crashes=crashes),
+                phase="supervise", transient=False)
+            if self.tracer is not None:
+                self.tracer.emit("quarantine", key=key, attempt=crashes)
+            resolved.append((index, cell, self._finalize(
+                index, cell, record, attempts=crashes, elapsed=elapsed)))
+            self._quarantined.append(key)
+        self._killed.clear()
+        self._unsent.clear()
+        return resolved
 
     def _finalize(self, index: int, cell: "CellSpec",
                   record: ErrorRecord, *, attempts: int,
-                  elapsed: float, journal: ShardedJournal | None,
-                  baseline: dict[str, JournalEntry],
-                  on_result: Callable[[CellResult], None] | None,
-                  scheduler: "Scheduler | None") -> CellResult:
-        """Journal and surface a supervisor-issued final failure."""
+                  elapsed: float) -> CellResult:
+        """Journal and trace a supervisor-issued final failure."""
         entry = JournalEntry(key=cell.key, status=STATUS_FAILED,
                              attempts=attempts, error=record)
-        if journal is not None:
-            journal.record(entry)
-            baseline[cell.key] = entry
+        if self._journal is not None:
+            self._journal.record(entry)
+            self._baseline[cell.key] = entry
         outcome = CellOutcome(key=cell.key, status=STATUS_FAILED,
                               error=record, attempts=attempts,
                               elapsed=elapsed)
@@ -567,10 +509,5 @@ class Supervisor:
             self.tracer.emit("cell", key=cell.key, status=STATUS_FAILED,
                              attempt=attempts, duration=elapsed,
                              error=record.type)
-        result = CellResult(index=index, key=cell.key, outcome=outcome,
-                            entry=entry, resumed=False)
-        if scheduler is not None:
-            scheduler.observe(cell, elapsed)
-        if on_result is not None:
-            on_result(result)
-        return result
+        return CellResult(index=index, key=cell.key, outcome=outcome,
+                          entry=entry, resumed=False)

@@ -24,7 +24,12 @@ from repro.models.config import ModelConfig, TrainConfig
 from repro.models.precision import PrecisionPolicy
 from repro.resilience.executor import CellOutcome, ResilientExecutor
 from repro.resilience.journal import JournalEntry
-from repro.resilience.policy import ExecutionPolicy, reject_removed_kwargs
+from repro.resilience.policy import (
+    DISPATCH_THREAD,
+    SCHEDULE_LANE_MAJOR,
+    ExecutionPolicy,
+    reject_removed_kwargs,
+)
 
 if TYPE_CHECKING:  # the engine is imported lazily inside the sweeps
     from repro.campaign.engine import CellResult
@@ -32,6 +37,28 @@ if TYPE_CHECKING:  # the engine is imported lazily inside the sweeps
 
 def _serializer_for(backend: AcceleratorBackend) -> threading.Lock | None:
     return None if backend.thread_safe else threading.Lock()
+
+
+def _reject_unsupported(api: str, policy: ExecutionPolicy) -> None:
+    """Refuse the policy fields the analyzers cannot honour.
+
+    Their cells are closures (e.g. ``_summary_extra``) run in this
+    process without a tracer, cache, ledger or scheduler, so these
+    fields would otherwise be silently ignored.
+    """
+    unsupported = {
+        "dispatch": policy.dispatch != DISPATCH_THREAD,
+        "trace": policy.trace not in (False, None),
+        "cache": policy.cache is not None,
+        "ledger": policy.ledger is not None,
+        "schedule": policy.schedule != SCHEDULE_LANE_MAJOR,
+    }
+    for name, is_set in unsupported.items():
+        if is_set:
+            raise ConfigurationError(
+                f"{api} does not support ExecutionPolicy.{name}="
+                f"{getattr(policy, name)!r}; use run_grid or Campaign "
+                "for it")
 
 
 @dataclass(frozen=True)
@@ -94,8 +121,11 @@ class ScalabilityAnalyzer:
         exceeding a platform's scalability envelope is a result. The
         ``policy`` controls journaling/resume, retry, deadlines, and
         worker fan-out; points always return in configuration order.
-        The pre-policy ``journal``/``resume`` keywords were removed in
-        0.3 and raise :class:`TypeError`.
+        Its ``dispatch="process"``, ``trace``, ``cache``, ``ledger``
+        and non-lane-major ``schedule`` are not supported and raise
+        :class:`~repro.common.errors.ConfigurationError`. The
+        pre-policy ``journal``/``resume`` keywords were removed in 0.3
+        and raise :class:`TypeError`.
         """
         # Lazy: the engine lives under repro.campaign, which resilience
         # (imported above) reaches back into via repro.core at import
@@ -105,6 +135,7 @@ class ScalabilityAnalyzer:
         reject_removed_kwargs("ScalabilityAnalyzer.sweep", removed)
         if policy is None:
             policy = ExecutionPolicy()
+        _reject_unsupported("ScalabilityAnalyzer.sweep", policy)
         executor = self._executor_for(policy)
         serializer = _serializer_for(self.backend)
         configs = [(label, dict(options))
@@ -307,7 +338,10 @@ class DeploymentOptimizer:
         Any :class:`~repro.common.errors.ReproError` becomes a failed
         point with a structured record in ``failures``. The ``policy``
         controls journaling (keyed ``batch=<n>``), resume, retry,
-        deadlines, and worker fan-out. The pre-policy
+        deadlines, and worker fan-out; its ``dispatch="process"``,
+        ``trace``, ``cache``, ``ledger`` and non-lane-major
+        ``schedule`` raise
+        :class:`~repro.common.errors.ConfigurationError`. The pre-policy
         ``journal``/``resume`` keywords were removed in 0.3 and raise
         :class:`TypeError`; remaining keywords are forwarded to
         ``backend.compile``.
@@ -318,6 +352,7 @@ class DeploymentOptimizer:
                               allow_extra=True)
         if policy is None:
             policy = ExecutionPolicy()
+        _reject_unsupported("DeploymentOptimizer.batch_sweep", policy)
         executor = self._executor_for(policy)
         serializer = _serializer_for(self.backend)
         sizes = list(batch_sizes)

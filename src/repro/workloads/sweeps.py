@@ -25,21 +25,15 @@ order, whatever order they executed in.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.campaign.engine import CellResult, CellTask, run_cell_tasks
+from repro.campaign.engine import CellResult, run_cells
+from repro.campaign.process import CellSpec
 from repro.common.errors import ErrorRecord
 from repro.core.backend import AcceleratorBackend, CompileReport, RunReport
 from repro.models.config import ModelConfig, TrainConfig
-from repro.resilience.executor import ResilientExecutor
-from repro.resilience.journal import JournalEntry, ShardedJournal
-from repro.resilience.policy import (
-    DISPATCH_PROCESS,
-    ExecutionPolicy,
-    reject_removed_kwargs,
-)
+from repro.resilience.policy import ExecutionPolicy, reject_removed_kwargs
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,17 @@ class SweepCell:
         return self.failure.phase if self.failure is not None else None
 
 
-def _cell_from_outcome(spec: SweepSpec, outcome: Any) -> SweepCell:
+def cell_from_result(spec: SweepSpec, result: CellResult) -> SweepCell:
+    """Convert an engine :class:`CellResult` back into a sweep cell."""
+    if result.resumed:
+        entry = result.entry
+        assert entry is not None
+        return SweepCell(spec=spec, compiled=None, run=None,
+                         error=str(entry.error) if entry.error else None,
+                         failure=entry.error, attempts=entry.attempts,
+                         resumed=True, summary=entry.summary)
+    outcome = result.outcome
+    assert outcome is not None
     if outcome.ok:
         return SweepCell(spec=spec, compiled=outcome.compiled,
                          run=outcome.run, attempts=outcome.attempts)
@@ -91,54 +95,31 @@ def _cell_from_outcome(spec: SweepSpec, outcome: Any) -> SweepCell:
                      attempts=max(1, outcome.attempts))
 
 
-def _cell_from_journal(spec: SweepSpec, entry: JournalEntry) -> SweepCell:
-    return SweepCell(spec=spec, compiled=None, run=None,
-                     error=str(entry.error) if entry.error else None,
-                     failure=entry.error, attempts=entry.attempts,
-                     resumed=True, summary=entry.summary)
+def sweep_cells(backend: AcceleratorBackend, specs: list[SweepSpec], *,
+                lane: str, key_prefix: str = "", measure: bool = True,
+                fingerprints: bool = False) -> list[CellSpec]:
+    """Picklable engine cells for a spec grid on one backend lane.
 
-
-def cell_from_result(spec: SweepSpec, result: CellResult) -> SweepCell:
-    """Convert an engine :class:`CellResult` back into a sweep cell."""
-    if result.resumed:
-        assert result.entry is not None
-        return _cell_from_journal(spec, result.entry)
-    return _cell_from_outcome(spec, result.outcome)
-
-
-def cell_tasks(backend: AcceleratorBackend, specs: list[SweepSpec],
-               executor: ResilientExecutor, *, measure: bool = True,
-               key_prefix: str = "",
-               fingerprints: bool = False) -> list[CellTask]:
-    """Engine tasks for a spec grid on one backend.
-
-    Non-thread-safe backends get a shared serializer lock so a pooled
-    run never overlaps their calls. Every task is stamped with its
-    analytic cost prediction and workload-family key so a cost-aware
+    Every cell is stamped with its analytic cost prediction and
+    workload-family key (``"<lane>::<model family>"``) so a cost-aware
     :class:`~repro.campaign.scheduler.Scheduler` can order dispatch;
-    with ``fingerprints`` each task also carries its content-addressed
+    with ``fingerprints`` each cell also carries its content-addressed
     cache key (see :func:`repro.cache.cell_fingerprint`).
     """
     from repro.cache import cell_fingerprint
     from repro.campaign.scheduler import estimate_cell_seconds
 
-    serializer = None if backend.thread_safe else threading.Lock()
-    run_fn = ((lambda compiled: backend.run(compiled)) if measure
-              else None)
     return [
-        CellTask(
+        CellSpec(
             key=f"{key_prefix}{spec.label}",
-            compile_fn=lambda spec=spec: backend.compile(
-                spec.model, spec.train, **spec.options),
-            stages_fn=lambda spec=spec: backend.compile_pipeline(
-                spec.model, spec.train, **spec.options),
-            run_fn=run_fn,
-            is_transient=backend.is_transient,
-            executor=executor,
-            serializer=serializer,
+            lane=lane,
+            model=spec.model,
+            train=spec.train,
+            options=dict(spec.options),
+            measure=measure,
             cost_hint=estimate_cell_seconds(backend, spec.model,
                                             spec.train, measure=measure),
-            family=f"{backend.name}::{spec.model.family}",
+            family=f"{lane}::{spec.model.family}",
             fingerprint=(cell_fingerprint(backend, spec.model,
                                           spec.train, spec.options,
                                           measure=measure)
@@ -176,116 +157,22 @@ def run_grid(backend: AcceleratorBackend,
     if policy is None:
         policy = ExecutionPolicy()
 
-    relay = None
-    if on_cell is not None:
-        callback = on_cell
-
-        def relay(result: CellResult) -> None:
-            callback(cell_from_result(specs[result.index], result))
-
-    if policy.dispatch == DISPATCH_PROCESS:
-        return _run_grid_process(backend, specs, policy, measure=measure,
-                                 relay=relay)
+    def relay(result: CellResult) -> None:
+        assert on_cell is not None
+        on_cell(cell_from_result(specs[result.index], result))
 
     tracer = policy.make_tracer()
     cache = policy.normalized_cache()
-    memo = None
-    if policy.stage_memo:
-        from repro.cache import StageMemo
-        memo = StageMemo(spill=cache)
-    tasks = cell_tasks(backend, specs,
-                       policy.make_executor(backend.name, tracer=tracer),
-                       measure=measure, fingerprints=cache is not None)
-    results = run_cell_tasks(
-        tasks,
-        max_workers=policy.max_workers,
-        journal=policy.normalized_journal(),
-        resume=policy.resume,
-        retry_failed=policy.retry_failed,
-        on_result=relay,
-        scheduler=policy.make_scheduler(tracer),
-        tracer=tracer,
-        cache=cache,
-        memo=memo,
-    )
-    if cache is not None:
-        cache.prune()
-    return [cell_from_result(spec, result)
-            for spec, result in zip(specs, results)]
-
-
-def _run_grid_process(backend: AcceleratorBackend,
-                      specs: list[SweepSpec],
-                      policy: ExecutionPolicy, *, measure: bool,
-                      relay: Callable[[CellResult], None] | None,
-                      ) -> list[SweepCell]:
-    """The grid's process-dispatch path (see
-    :mod:`repro.campaign.process`).
-
-    Journal keys stay ``spec.label``, exactly as on the thread path, so
-    a process-dispatched run and a sequential one resume each other.
-    """
-    from repro.cache import cell_fingerprint
-    from repro.campaign.process import (
-        CellSpec,
-        WorkerSpec,
-        check_process_policy,
-        run_cell_specs,
-    )
-    from repro.campaign.scheduler import estimate_cell_seconds
-
-    store = policy.normalized_journal()
-    check_process_policy(policy, store, api="run_grid")
-    if store is not None:
-        assert isinstance(store, ShardedJournal)  # check_process_policy
-    cache = policy.normalized_cache()
-    cells = [
-        CellSpec(
-            key=spec.label,
-            lane=backend.name,
-            model=spec.model,
-            train=spec.train,
-            options=dict(spec.options),
-            measure=measure,
-            cost_hint=estimate_cell_seconds(backend, spec.model,
-                                            spec.train, measure=measure),
-            family=f"{backend.name}::{spec.model.family}",
-            fingerprint=(cell_fingerprint(backend, spec.model,
-                                          spec.train, spec.options,
-                                          measure=measure)
-                         if cache is not None else None),
-        )
-        for spec in specs
-    ]
-    tracer = policy.make_tracer()
-    trace_dir = policy.trace_directory()
-    worker = WorkerSpec(
-        backends={backend.name: backend},
-        retry=policy.retry,
-        deadline=policy.deadline,
+    results, _ = run_cells(
+        sweep_cells(backend, specs, lane=backend.name, measure=measure,
+                    fingerprints=cache is not None),
+        {backend.name: backend}, policy, api="run_grid",
+        executor_for=lambda lane: policy.make_executor(lane,
+                                                       tracer=tracer),
         breakers=bool(policy.breaker),
-        breaker_threshold=policy.breaker_threshold,
-        breaker_reset=policy.breaker_reset,
-        journal_dir=str(store.directory) if store is not None else None,
-        journal_prefix=store.prefix if store is not None else "shard",
-        trace_dir=str(trace_dir) if trace_dir is not None else None,
-        trace_run=tracer.run if tracer is not None else "",
-        cache_dir=str(cache.directory) if cache is not None else None,
-        stage_memo=policy.stage_memo,
-    )
-    results = run_cell_specs(
-        cells,
-        worker=worker,
-        max_workers=policy.max_workers,
-        journal=store,
-        resume=policy.resume,
-        retry_failed=policy.retry_failed,
-        on_result=relay,
-        scheduler=policy.make_scheduler(tracer),
-        supervisor=policy.make_supervisor(
-            tracer, families={cell.family for cell in cells}),
-        tracer=tracer,
-    )
+        on_result=relay if on_cell is not None else None,
+        scheduler=policy.make_scheduler(tracer), tracer=tracer,
+        cache=cache)
     if cache is not None:
         cache.prune()
     return [cell_from_result(spec, result)

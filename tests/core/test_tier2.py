@@ -276,3 +276,61 @@ class TestRemovedKeywords:
         sweep = DeploymentOptimizer(cerebras).batch_sweep(
             model, train, [8], policy=ExecutionPolicy(), n_replicas=1)
         assert sweep.tokens_per_second[0] > 0
+
+
+class TestUnsupportedPolicyFields:
+    """The analyzers run closures in-process with no tracer, cache,
+    ledger or scheduler: those policy fields are refused, not
+    silently ignored."""
+
+    def sweeps(self, cerebras):
+        model, train = (decoder_block_probe(256, 2),
+                        TrainConfig(batch_size=8, seq_len=256))
+        return [
+            ("ScalabilityAnalyzer.sweep",
+             lambda policy: ScalabilityAnalyzer(cerebras).sweep(
+                 model, train, [("DP1", {"n_replicas": 1})],
+                 policy=policy)),
+            ("DeploymentOptimizer.batch_sweep",
+             lambda policy: DeploymentOptimizer(cerebras).batch_sweep(
+                 model, train, [8], policy=policy)),
+        ]
+
+    def assert_rejected(self, cerebras, field, policy, tmp_path):
+        for api, sweep in self.sweeps(cerebras):
+            with pytest.raises(ConfigurationError,
+                               match=f"{api} does not support "
+                                     f"ExecutionPolicy.{field}="):
+                sweep(policy)
+        assert not any(tmp_path.iterdir())  # nothing was written
+
+    def test_process_dispatch_rejected(self, cerebras, tmp_path):
+        from repro.resilience import ExecutionPolicy
+        self.assert_rejected(cerebras, "dispatch",
+                             ExecutionPolicy(dispatch="process"),
+                             tmp_path)
+
+    def test_trace_rejected(self, cerebras, tmp_path):
+        from repro.resilience import ExecutionPolicy
+        self.assert_rejected(cerebras, "trace",
+                             ExecutionPolicy(trace=tmp_path / "t"),
+                             tmp_path)
+
+    def test_cache_rejected(self, cerebras, tmp_path):
+        from repro.resilience import ExecutionPolicy
+        self.assert_rejected(cerebras, "cache",
+                             ExecutionPolicy(cache=tmp_path / "c"),
+                             tmp_path)
+
+    def test_ledger_rejected(self, cerebras, tmp_path):
+        from repro.resilience import ExecutionPolicy
+        self.assert_rejected(cerebras, "ledger",
+                             ExecutionPolicy(
+                                 ledger=tmp_path / "ledger.json"),
+                             tmp_path)
+
+    def test_non_lane_major_schedule_rejected(self, cerebras, tmp_path):
+        from repro.resilience import ExecutionPolicy
+        self.assert_rejected(cerebras, "schedule",
+                             ExecutionPolicy(schedule="longest-first"),
+                             tmp_path)

@@ -15,7 +15,9 @@ import pytest
 
 from repro.campaign import Campaign
 from repro.common.errors import ReproError
+from repro.core.report import GRID_HEADERS, BenchmarkReport, sweep_cell_row
 from repro.models.config import TrainConfig, gpt2_model
+from repro.observe import load_events, merged_trace_text
 from repro.resilience import (
     ExecutionPolicy,
     FaultInjectingBackend,
@@ -70,21 +72,47 @@ class KillBackend(CpuBoundBackend):
         return super().compile(model, train, **options)
 
 
+def paper_grid():
+    """GPT-2 small at L4/L12 x b16, seq 512: on Bow-2000 the L12 cell
+    is the paper's expected out-of-memory failure."""
+    return [SweepSpec(f"L{n}/b16", gpt2_model("small").with_layers(n),
+                      TrainConfig(batch_size=16, seq_len=512))
+            for n in (4, 12)]
+
+
+def grid_tables(result):
+    """The campaign report's per-lane result tables, rendered."""
+    report = BenchmarkReport("Campaign")
+    for label in result.labels:
+        report.add_table(f"Grid on {label}", GRID_HEADERS,
+                         [sweep_cell_row(c) for c in result.cells[label]])
+    return report.render()
+
+
 class TestProcessMatchesSequential:
     @pytest.mark.parametrize("schedule",
                              ["lane-major", "longest-first"])
     def test_multibackend_campaign_invariants(self, tmp_path, schedule):
-        from repro import CerebrasBackend, GPUBackend
+        from repro import (
+            CerebrasBackend,
+            GPUBackend,
+            GraphcoreBackend,
+            SambaNovaBackend,
+        )
 
-        specs = grid()
+        specs = paper_grid()
         lanes = lambda: [(CerebrasBackend(), specs),  # noqa: E731
+                         (SambaNovaBackend(), specs),
+                         (GraphcoreBackend(), specs),
                          (GPUBackend(), specs)]
         process = Campaign(lanes(), ExecutionPolicy(
             max_workers=2, dispatch="process", schedule=schedule,
-            journal=ShardedJournal(tmp_path / "proc"))).run()
+            journal=ShardedJournal(tmp_path / "proc"),
+            trace=True)).run()
         sequential = Campaign(lanes(), ExecutionPolicy(
-            max_workers=1,
-            journal=ShardedJournal(tmp_path / "seq"))).run()
+            max_workers=1, schedule=schedule,
+            journal=ShardedJournal(tmp_path / "seq"),
+            trace=True)).run()
 
         assert process.labels == sequential.labels
         for label in process.labels:
@@ -100,6 +128,16 @@ class TestProcessMatchesSequential:
         assert process.scheduling.dispatch == "process"
         assert process.scheduling.cells == process.total_cells
         assert process.scheduling.actual_seconds > 0
+        # Every lane of the paper's platforms, one expected Bow-2000
+        # out-of-memory cell, and byte-identical report and trace.
+        failed = {f"{label}::{c.spec.label}": c.failure.type
+                  for label in process.labels
+                  for c in process.cells[label] if c.failed}
+        assert failed == {"Bow-2000::L12/b16": "OutOfMemoryError"}
+        assert grid_tables(process) == grid_tables(sequential)
+        trace = merged_trace_text(load_events(tmp_path / "proc"))
+        assert trace
+        assert trace == merged_trace_text(load_events(tmp_path / "seq"))
 
     def test_on_cell_fires_exactly_once_per_cell(self, tmp_path):
         specs = grid()

@@ -97,6 +97,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "tp=2" in out
 
+    @pytest.mark.parametrize("command, extra", [
+        ("scaling", ["--configs", "tp=1"]),
+        ("batch-sweep", ["--batches", "4"]),
+    ])
+    @pytest.mark.parametrize("flags, field", [
+        (["--dispatch", "process"], "dispatch"),
+        (["--trace", "{tmp}/trace"], "trace"),
+        (["--cache", "{tmp}/cache"], "cache"),
+        (["--ledger", "{tmp}/ledger.json"], "ledger"),
+        (["--schedule", "longest-first"], "schedule"),
+    ])
+    def test_analyzers_reject_unsupported_policy(self, capsys, tmp_path,
+                                                 command, extra, flags,
+                                                 field):
+        code = main([command, "--platform", "sambanova",
+                     "--model", "gpt2-small:4", "--precision", "bf16",
+                     "--option", "mode=O1", *extra,
+                     *(flag.format(tmp=tmp_path) for flag in flags)])
+        assert code == 2
+        assert f"ExecutionPolicy.{field}=" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_graphcore_options(self, capsys):
         code = main(["tier1", "--platform", "graphcore",
                      "--model", "probe:768x4", "--batch", "16",
@@ -132,7 +154,14 @@ class TestResilienceFlags:
         out = capsys.readouterr().out
         assert out.count("yes") >= 2  # both cells replayed from journal
 
-    def test_grid_fault_injection_with_retries(self, capsys):
+    def test_grid_fault_injection_with_retries(self, capsys, monkeypatch):
+        # The retry backoff would really sleep (~15 s): stub the sleep
+        # the wall clock uses, in the clock module only.
+        import types
+
+        from repro.resilience import clock
+        monkeypatch.setattr(clock, "time", types.SimpleNamespace(
+            monotonic=clock.time.monotonic, sleep=lambda seconds: None))
         code = main(["grid", "--platform", "cerebras",
                      "--model", "probe:256x2", "--seq-len", "256",
                      "--layers", "2", "4", "6", "--batches", "8",
