@@ -88,7 +88,8 @@ __all__ = [
 #: v2: model/train configs enter the fingerprint as content digests
 #: (see :meth:`~repro.models.config.ModelConfig.content_digest`) and
 #: stage artifacts spill under ``stage/``.
-CACHE_VERSION = 2
+#: v3: run reports carry row-backed traces (``Trace._rows``).
+CACHE_VERSION = 3
 
 #: Trace-event statuses for the ``"cache"`` event name.
 CACHE_HIT = "hit"

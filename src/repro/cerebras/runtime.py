@@ -11,12 +11,13 @@ the pipeline (Fig. 9a).
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import deque
 
 from repro.common.errors import SimulationError
 from repro.core.backend import CompileReport, PhaseProfile, RunReport, TaskProfile
 from repro.hardware.specs import CS2_SYSTEM, SystemSpec
-from repro.sim.engine import Resource, Simulator
 from repro.sim.trace import Trace
 
 # Relative efficiency of weight-streaming execution (layer-sequential
@@ -88,46 +89,74 @@ class WSERuntime:
     def _simulate_pipeline(self, order: list[str],
                            service: dict[str, float], depth: int,
                            batch: int, trace: Trace) -> float:
-        """Tandem-queue DES with bounded work-in-progress."""
+        """Tandem-queue DES with bounded work-in-progress.
+
+        Each stage serves one sample at a time from a FIFO queue; at
+        most ``depth`` samples are in flight, and a new one is admitted
+        to the first stage when one leaves the last. The heap holds one
+        entry ``(end, seq, sample, stage, start)`` per granted service,
+        and a completion is handled in one step: the stage passes to its
+        next waiter, then the sample queues for the next stage (or
+        leaves and admits the next sample). Ties in ``end`` complete in
+        grant order, the order of ``seq``.
+        """
         if not order:
             raise SimulationError("empty kernel pipeline")
-        sim = Simulator()
-        stages = [Resource(sim, capacity=1, name=name) for name in order]
-        in_flight = {"count": 0, "next_sample": 0, "done": 0}
-
-        def admit() -> None:
-            while (in_flight["count"] < depth
-                   and in_flight["next_sample"] < batch):
-                sample = in_flight["next_sample"]
-                in_flight["next_sample"] += 1
-                in_flight["count"] += 1
-                enter_stage(sample, 0)
-
-        def enter_stage(sample: int, idx: int) -> None:
-            stages[idx].request(start_service, sample, idx)
-
-        def start_service(sample: int, idx: int) -> None:
-            start = sim.now
-            sim.schedule(service[order[idx]], finish_service,
-                         sample, idx, start)
-
-        def finish_service(sample: int, idx: int, start: float) -> None:
-            trace.record(start, sim.now, order[idx], category="compute",
-                         item=sample)
-            stages[idx].release()
-            if idx + 1 < len(stages):
-                enter_stage(sample, idx + 1)
-            else:
-                in_flight["count"] -= 1
-                in_flight["done"] += 1
-                admit()
-
-        sim.schedule(0.0, admit)
-        sim.run()
-        if in_flight["done"] != batch:
+        times = [service[name] for name in order]
+        if min(times) < 0:
             raise SimulationError(
-                f"pipeline completed {in_flight['done']} of {batch} samples")
-        return sim.now
+                f"negative kernel service time: {min(times)}")
+        last = len(order) - 1
+        busy = [False] * len(order)
+        waiting: list[deque[int]] = [deque() for _ in order]
+        heap: list[tuple[float, int, int, int, float]] = []
+        push, pop = heapq.heappush, heapq.heappop
+        append = trace.append
+
+        # Admission at time zero: the first sample starts on stage 0,
+        # the rest of the first ``depth`` queue behind it.
+        admitted = min(depth, batch)
+        seq = 0
+        if admitted:
+            busy[0] = True
+            heap.append((times[0], 0, 0, 0, 0.0))
+            seq = 1
+            waiting[0].extend(range(1, admitted))
+        now = 0.0
+        done = 0
+        while heap:
+            now, _seq, sample, stage, start = pop(heap)
+            append(start, now, order[stage], "compute", sample)
+            queue = waiting[stage]
+            if queue:
+                push(heap, (now + times[stage], seq, queue.popleft(), stage,
+                            now))
+                seq += 1
+            else:
+                busy[stage] = False
+            if stage < last:
+                stage += 1
+                if busy[stage]:
+                    waiting[stage].append(sample)
+                    continue
+                busy[stage] = True
+            else:
+                done += 1
+                if admitted == batch:
+                    continue
+                sample = admitted
+                admitted += 1
+                stage = 0
+                if busy[0]:
+                    waiting[0].append(sample)
+                    continue
+                busy[0] = True
+            push(heap, (now + times[stage], seq, sample, stage, now))
+            seq += 1
+        if done != batch:
+            raise SimulationError(
+                f"pipeline completed {done} of {batch} samples")
+        return now
 
     # ------------------------------------------------------------------
     def _replica_sync_time(self, compiled: CompileReport,
@@ -161,10 +190,11 @@ class WSERuntime:
     def _measured_tasks(self, compiled: CompileReport,
                         trace: Trace) -> tuple[TaskProfile, ...]:
         """Compile-time tasks with throughput replaced by measured rates."""
+        throughputs = trace.task_throughputs()
         measured: list[TaskProfile] = []
         for task in compiled.phases[0].tasks:
             bare_name = task.name.split("/", 1)[-1]
-            throughput = trace.task_throughput(bare_name)
+            throughput = throughputs.get(bare_name, 0.0)
             measured.append(TaskProfile(
                 name=task.name,
                 compute_units=task.compute_units,

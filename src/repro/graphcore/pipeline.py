@@ -52,9 +52,8 @@ class PipelineExecutor:
 
         def finish(micro: int, index: int, backward: bool,
                    began: float) -> None:
-            trace.record(began, sim.now, stages[index].name,
-                         category="backward" if backward else "compute",
-                         item=micro)
+            trace.append(began, sim.now, stages[index].name,
+                         "backward" if backward else "compute", micro)
             resources[index].release()
             if not backward:
                 if index + 1 < n_stages:
@@ -82,13 +81,14 @@ class PipelineExecutor:
         flops_per_micro = sum(s.flops_per_micro for s in stages)
         achieved = flops_per_micro * micro_batches / step_time
 
+        throughputs = trace.task_throughputs()
         tasks = tuple(
             TaskProfile(
                 name=stage.name,
                 compute_units=stage.tiles_used,
                 memory_units=stage.tiles_used,
                 role="compute",
-                throughput=trace.task_throughput(stage.name) / 2.0,
+                throughput=throughputs.get(stage.name, 0.0) / 2.0,
                 flops=stage.flops_per_micro,
                 meta={"ipu": stage.ipu_index, "layers": stage.n_layers},
             )

@@ -48,8 +48,7 @@ class RDURuntime:
         def finish_section(index: int, invocation: int, start: float,
                            category: str) -> None:
             section = sections[index]
-            trace.record(start, sim.now, section.name, category=category,
-                         item=invocation)
+            trace.append(start, sim.now, section.name, category, invocation)
             self._account(section, phases[index], timings)
             if invocation + 1 < section.invocations:
                 sim.schedule(0.0, run_section, index, invocation + 1)

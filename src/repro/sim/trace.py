@@ -1,6 +1,6 @@
 """Execution traces: what ran where, and for how long.
 
-Platform runtimes append :class:`TraceRecord` rows as work completes; the
+Platform runtimes append one row per completed unit of work; the
 framework's Tier-1 profiler then derives busy time, per-task throughput,
 and utilization from the trace — the "runtime information" category of
 paper Sec. IV-D(b).
@@ -38,16 +38,30 @@ class TraceRecord:
 
 
 class Trace:
-    """An append-only list of trace records with aggregate queries."""
+    """An append-only trace with aggregate queries.
+
+    Records are stored as plain row tuples ``(start, end, task,
+    category, item, meta)`` -- a simulator appends hundreds of thousands
+    of them per run, and most are only ever aggregated. Iteration and
+    :attr:`records` build :class:`TraceRecord` objects when read.
+    """
 
     def __init__(self) -> None:
-        self._records: list[TraceRecord] = []
+        self._rows: list[tuple[float, float, str, str, int,
+                               dict[str, Any] | None]] = []
+
+    def append(self, start: float, end: float, task: str,
+               category: str = "compute", item: int = 0,
+               meta: dict[str, Any] | None = None) -> None:
+        """Append one row; the runtimes' hot path."""
+        if end < start:
+            raise ValueError(
+                f"trace record for {task!r} ends before it starts")
+        self._rows.append((start, end, task, category, item, meta or None))
 
     def add(self, record: TraceRecord) -> None:
-        if record.end < record.start:
-            raise ValueError(
-                f"trace record for {record.task!r} ends before it starts")
-        self._records.append(record)
+        self.append(record.start, record.end, record.task, record.category,
+                    record.item, record.meta)
 
     def record(self, start: float, end: float, task: str,
                category: str = "compute", item: int = 0,
@@ -59,62 +73,77 @@ class Trace:
         return rec
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        for start, end, task, category, item, meta in self._rows:
+            yield TraceRecord(start, end, task, category, item,
+                              {} if meta is None else meta)
 
     @property
     def records(self) -> list[TraceRecord]:
-        return list(self._records)
+        return list(self)
 
     @property
     def makespan(self) -> float:
         """End of the last record minus start of the first."""
-        if not self._records:
+        rows = self._rows
+        if not rows:
             return 0.0
-        return (max(r.end for r in self._records)
-                - min(r.start for r in self._records))
+        return max(r[1] for r in rows) - min(r[0] for r in rows)
 
     def busy_time_by_task(self) -> dict[str, float]:
         """Summed record durations per task (overlap not collapsed)."""
         totals: dict[str, float] = defaultdict(float)
-        for rec in self._records:
-            totals[rec.task] += rec.duration
+        for start, end, task, _category, _item, _meta in self._rows:
+            totals[task] += end - start
         return dict(totals)
 
     def busy_time_by_category(self) -> dict[str, float]:
         """Summed record durations per category."""
         totals: dict[str, float] = defaultdict(float)
-        for rec in self._records:
-            totals[rec.category] += rec.duration
+        for start, end, _task, category, _item, _meta in self._rows:
+            totals[category] += end - start
         return dict(totals)
 
     def items_by_task(self) -> dict[str, int]:
         """Completed item count per task."""
         counts: dict[str, int] = defaultdict(int)
-        for rec in self._records:
-            counts[rec.task] += 1
+        for row in self._rows:
+            counts[row[2]] += 1
         return dict(counts)
 
+    def task_throughputs(self) -> dict[str, float]:
+        """Items per second each task completed over its active span.
+
+        One pass over the rows; a task whose span is zero reports
+        ``inf``.
+        """
+        spans: dict[str, list[Any]] = {}
+        for start, end, task, _category, _item, _meta in self._rows:
+            span = spans.get(task)
+            if span is None:
+                spans[task] = [1, start, end]
+            else:
+                span[0] += 1
+                if start < span[1]:
+                    span[1] = start
+                if end > span[2]:
+                    span[2] = end
+        return {task: float("inf") if last - first <= 0
+                else count / (last - first)
+                for task, (count, first, last) in spans.items()}
+
     def task_throughput(self, task: str) -> float:
-        """Items per second completed by ``task`` over its active span."""
-        recs = [r for r in self._records if r.task == task]
-        if not recs:
-            return 0.0
-        span = max(r.end for r in recs) - min(r.start for r in recs)
-        if span <= 0:
-            return float("inf")
-        return len(recs) / span
+        """Items per second completed by ``task`` over its active span
+        (0.0 for a task with no records)."""
+        return self.task_throughputs().get(task, 0.0)
 
     def filter(self, category: str | None = None,
                task: str | None = None) -> "Trace":
         """A new trace containing only matching records."""
         out = Trace()
-        for rec in self._records:
-            if category is not None and rec.category != category:
-                continue
-            if task is not None and rec.task != task:
-                continue
-            out.add(rec)
+        out._rows = [row for row in self._rows
+                     if (category is None or row[3] == category)
+                     and (task is None or row[2] == task)]
         return out

@@ -93,7 +93,9 @@ class TestJournalAndResume:
         assert [r.resumed for r in results] == [True, True, False, False]
         assert [r.key for r in results] == ["k0", "k1", "k2", "k3"]
 
-    def test_retry_failed_reruns_journaled_failures(self, tmp_path):
+    def test_retry_failed_reruns_journaled_failures(self, tmp_path,
+                                                    no_backoff_sleep):
+        # The default retry backoff would really sleep (~3 s).
         journal = SweepJournal(tmp_path / "j.jsonl")
 
         def boom():

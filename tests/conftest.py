@@ -6,6 +6,8 @@ across compile/run calls.
 
 from __future__ import annotations
 
+import types
+
 import pytest
 
 from repro import (
@@ -70,3 +72,16 @@ def train_bf16() -> TrainConfig:
 @pytest.fixture()
 def train_small_batch() -> TrainConfig:
     return TrainConfig(batch_size=8, seq_len=512)
+
+
+@pytest.fixture()
+def no_backoff_sleep(monkeypatch):
+    """Make the wall clock's retry-backoff sleep a no-op.
+
+    Stubs the ``time`` reference in :mod:`repro.resilience.clock` only,
+    which is what ``SystemClock.sleep`` calls; ``now`` still reads real
+    monotonic time. Forked campaign workers inherit the stub.
+    """
+    from repro.resilience import clock
+    monkeypatch.setattr(clock, "time", types.SimpleNamespace(
+        monotonic=clock.time.monotonic, sleep=lambda seconds: None))

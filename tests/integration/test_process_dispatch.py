@@ -148,7 +148,10 @@ class TestProcessMatchesSequential:
             on_cell=lambda label, cell: seen.append(cell.spec.label))
         assert sorted(seen) == sorted(s.label for s in specs)
 
-    def test_retries_happen_inside_the_worker(self, tmp_path):
+    def test_retries_happen_inside_the_worker(self, tmp_path,
+                                              no_backoff_sleep):
+        # The retry backoff would really sleep (~3 s); the forked
+        # workers inherit the stub.
         plan = FaultPlan(specs=[FaultSpec(fault=compiler_flake,
                                           match="L3", attempts=(0,))])
         backend = FaultInjectingBackend(fast_backend(), plan)

@@ -3,7 +3,10 @@
 The WSE runtime's pipeline is a tandem queue with bounded WIP; queueing
 theory gives closed forms for its makespan in special cases. The DES
 must agree — this is the cross-check that the simulation engine, not
-just the calibration, is sound.
+just the calibration, is sound. A differential test also pins the
+runtime's loop to a reference written on the generic
+:class:`~repro.sim.engine.Simulator` and :class:`~repro.sim.engine.Resource`,
+row for row.
 """
 
 import pytest
@@ -11,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cerebras.runtime import WSERuntime
+from repro.common.errors import SimulationError
+from repro.sim.engine import Resource, Simulator
 from repro.sim.trace import Trace
 
 
@@ -79,3 +84,85 @@ def test_deeper_wip_never_slower(services, batch):
     shallow, _t1 = simulate(services, depth=1, batch=batch)
     deep, _t2 = simulate(services, depth=batch, batch=batch)
     assert deep <= shallow + 1e-9
+
+
+def reference_pipeline(order, service, depth, batch, trace):
+    """The tandem queue on the generic Simulator and Resource: one
+    zero-delay wake per grant and one completion event per
+    (sample, stage). The oracle for the runtime's dedicated loop."""
+    if not order:
+        raise SimulationError("empty kernel pipeline")
+    sim = Simulator()
+    stages = [Resource(sim, capacity=1, name=name) for name in order]
+    in_flight = {"count": 0, "next_sample": 0, "done": 0}
+
+    def admit():
+        while (in_flight["count"] < depth
+               and in_flight["next_sample"] < batch):
+            sample = in_flight["next_sample"]
+            in_flight["next_sample"] += 1
+            in_flight["count"] += 1
+            enter_stage(sample, 0)
+
+    def enter_stage(sample, idx):
+        stages[idx].request(start_service, sample, idx)
+
+    def start_service(sample, idx):
+        start = sim.now
+        sim.schedule(service[order[idx]], finish_service,
+                     sample, idx, start)
+
+    def finish_service(sample, idx, start):
+        trace.record(start, sim.now, order[idx], category="compute",
+                     item=sample)
+        stages[idx].release()
+        if idx + 1 < len(stages):
+            enter_stage(sample, idx + 1)
+        else:
+            in_flight["count"] -= 1
+            in_flight["done"] += 1
+            admit()
+
+    sim.schedule(0.0, admit)
+    sim.run()
+    if in_flight["done"] != batch:
+        raise SimulationError(
+            f"pipeline completed {in_flight['done']} of {batch} samples")
+    return sim.now
+
+
+def rows(trace):
+    return [(r.start, r.end, r.task, r.category, r.item) for r in trace]
+
+
+#: Service times from a small pool, so that zeros and repeated values
+#: (and with them tied completion times) are common.
+service_time = st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0]),
+                         st.floats(min_value=0.0, max_value=3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(services=st.lists(service_time, min_size=1, max_size=8),
+       depth=st.integers(min_value=1, max_value=12),
+       batch=st.integers(min_value=0, max_value=16))
+def test_matches_the_generic_engine_row_for_row(services, depth, batch):
+    order = [f"s{i}" for i in range(len(services))]
+    service = dict(zip(order, services))
+    expected_trace, actual_trace = Trace(), Trace()
+    expected = reference_pipeline(order, service, depth, batch,
+                                  expected_trace)
+    actual = WSERuntime()._simulate_pipeline(order, service, depth, batch,
+                                             actual_trace)
+    assert actual == expected
+    assert rows(actual_trace) == rows(expected_trace)
+
+
+def test_empty_pipeline_rejected():
+    with pytest.raises(SimulationError, match="empty kernel pipeline"):
+        WSERuntime()._simulate_pipeline([], {}, 1, 4, Trace())
+
+
+def test_negative_service_time_rejected():
+    with pytest.raises(SimulationError):
+        WSERuntime()._simulate_pipeline(["a", "b"], {"a": 1.0, "b": -0.5},
+                                        1, 4, Trace())

@@ -1,5 +1,7 @@
 """Execution traces."""
 
+import pickle
+
 import pytest
 
 from repro.sim.trace import Trace, TraceRecord
@@ -29,6 +31,41 @@ class TestRecord:
         trace = Trace()
         rec = trace.record(0.0, 1.0, "k", flops=42)
         assert rec.meta["flops"] == 42
+
+    @pytest.mark.parametrize("write", [
+        lambda t: t.append(2.0, 1.0, "x"),
+        lambda t: t.add(TraceRecord(start=2.0, end=1.0, task="x")),
+        lambda t: t.record(2.0, 1.0, "x"),
+    ], ids=["append", "add", "record"])
+    def test_every_writer_rejects_reversed_interval(self, write):
+        trace = Trace()
+        with pytest.raises(ValueError, match="ends before it starts"):
+            write(trace)
+        assert len(trace) == 0
+
+    def test_append_reads_back_as_a_record(self):
+        trace = Trace()
+        trace.append(0.5, 1.5, "k", "transfer", 3)
+        assert trace.records == [TraceRecord(start=0.5, end=1.5, task="k",
+                                             category="transfer", item=3)]
+        assert trace.records[0].meta == {}
+
+    def test_meta_survives_iteration_and_filter(self):
+        trace = Trace()
+        trace.add(TraceRecord(start=0.0, end=1.0, task="a",
+                              meta={"bytes": 8}))
+        trace.record(1.0, 2.0, "b", category="transfer", flops=42)
+        assert [r.meta for r in trace] == [{"bytes": 8}, {"flops": 42}]
+        assert [r.meta for r in trace.filter(task="a")] == [{"bytes": 8}]
+        assert [r.meta for r in trace.filter(category="transfer")] == [
+            {"flops": 42}]
+
+    def test_pickle_round_trip_preserves_rows(self, trace):
+        trace.record(4.0, 5.0, "attn", item=2, flops=7)
+        copy = pickle.loads(pickle.dumps(trace))
+        assert len(copy) == len(trace)
+        assert copy.records == trace.records
+        assert [r.meta for r in copy] == [r.meta for r in trace]
 
 
 class TestAggregates:
@@ -65,6 +102,21 @@ class TestAggregates:
         t = Trace()
         t.record(1.0, 1.0, "instant")
         assert t.task_throughput("instant") == float("inf")
+
+    def test_task_throughputs_agree_with_task_throughput(self, trace):
+        trace.record(5.0, 5.0, "instant")
+        trace.record(0.1, 0.3, "ffn", item=1)
+        every = trace.task_throughputs()
+        assert set(every) == {"attn", "ffn", "dma", "instant"}
+        for task, rate in every.items():
+            assert trace.task_throughput(task) == rate
+        assert every["instant"] == float("inf")
+        assert every["ffn"] == 2 / (3.0 - 0.1)
+        assert "nope" not in every
+        assert trace.task_throughput("nope") == 0.0
+
+    def test_task_throughputs_empty(self):
+        assert Trace().task_throughputs() == {}
 
 
 class TestFilter:

@@ -154,14 +154,9 @@ class TestResilienceFlags:
         out = capsys.readouterr().out
         assert out.count("yes") >= 2  # both cells replayed from journal
 
-    def test_grid_fault_injection_with_retries(self, capsys, monkeypatch):
-        # The retry backoff would really sleep (~15 s): stub the sleep
-        # the wall clock uses, in the clock module only.
-        import types
-
-        from repro.resilience import clock
-        monkeypatch.setattr(clock, "time", types.SimpleNamespace(
-            monotonic=clock.time.monotonic, sleep=lambda seconds: None))
+    def test_grid_fault_injection_with_retries(self, capsys,
+                                               no_backoff_sleep):
+        # The retry backoff would really sleep (~15 s).
         code = main(["grid", "--platform", "cerebras",
                      "--model", "probe:256x2", "--seq-len", "256",
                      "--layers", "2", "4", "6", "--batches", "8",
