@@ -274,13 +274,12 @@ class WSECompiler:
             return dict(caps)
         # Water-fill: grant ~ lambda * flops, clamped to [floor, cap].
         lo, hi = 0.0, budget / max(min(k.flops_per_sample for k in kernels), 1.0)
+        rows = [(caps[k.name], floors[k.name], k.flops_per_sample)
+                for k in kernels]
 
         def total(lam: float) -> float:
-            return sum(
-                min(caps[k.name], max(floors[k.name],
-                                      lam * k.flops_per_sample))
-                for k in kernels
-            )
+            return sum([min(cap, max(floor, lam * flops))
+                        for cap, floor, flops in rows])
 
         for _ in range(80):
             mid = (lo + hi) / 2.0

@@ -186,14 +186,28 @@ class WaferPlacer:
         Returns 1.0 when the demands fit as-is; otherwise binary-searches
         the scale factor in (0, 1]. This is the fragmentation penalty the
         compiler applies when the wafer is nearly full.
+
+        For strips a scaled trial needs no placement: strip widths are
+        at least one column and the cursor only advances, so the strips
+        fit exactly when their rounded widths sum to at most
+        ``grid_width``.
         """
         if self.place(demands).fits:
             return 1.0
+        if self.strategy == "strips":
+            height, width = self.grid_height, self.grid_width
+
+            def fits(mid: float) -> bool:
+                return sum(max(1, math.ceil(pes * mid / height))
+                           for _name, pes in demands) <= width
+        else:
+            def fits(mid: float) -> bool:
+                return self.place(
+                    [(name, pes * mid) for name, pes in demands]).fits
         lo, hi = 0.0, 1.0
         for _ in range(24):
             mid = (lo + hi) / 2.0
-            scaled = [(name, pes * mid) for name, pes in demands]
-            if self.place(scaled).fits:
+            if fits(mid):
                 lo = mid
             else:
                 hi = mid

@@ -72,7 +72,9 @@ class ComputationGraph:
             raise ConfigurationError(f"unknown edge destination: {dst!r}")
         if src == dst:
             raise ConfigurationError(f"self-loop on {src!r} is not allowed")
-        if self._reaches(dst, src):
+        # A node with no successors reaches nothing, so an edge into a
+        # fresh sink needs no search.
+        if self._succ[dst] and self._reaches(dst, src):
             raise ConfigurationError(
                 f"edge {src!r} -> {dst!r} would create a cycle"
             )

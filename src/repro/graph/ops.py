@@ -142,13 +142,16 @@ class Operator:
         and grad wrt weights), which is the standard 2:4 forward:backward
         split behind the paper's ``6 x P`` FLOPs-per-token estimate (Eq. 5).
         """
-        return replace(
-            self,
+        return Operator(
             name=f"{self.name}.bwd",
+            kind=self.kind,
             flops=self.flops * flops_multiplier,
+            weight_bytes=self.weight_bytes,
             input_bytes=self.output_bytes,
             output_bytes=self.input_bytes,
+            layer_index=self.layer_index,
             backward=True,
+            attrs=self.attrs,
         )
 
     def scaled(self, factor: float, *, suffix: str = "") -> "Operator":

@@ -353,9 +353,13 @@ class RDUCompiler:
         sections: list[Section] = []
         pending: list[OpDemand] = []
         pending_kind = "forward"
+        # Running sums of ``pending``, added left to right like
+        # ``sum(d.pcus for d in pending)`` would.
+        pending_pcus = pending_pmus = 0
         counter = {"n": 0}
 
         def flush() -> None:
+            nonlocal pending_pcus, pending_pmus
             if not pending:
                 return
             sections.append(Section(
@@ -366,27 +370,34 @@ class RDUCompiler:
             ))
             counter["n"] += 1
             pending.clear()
+            pending_pcus = pending_pmus = 0
 
-        import dataclasses
         for op in order:
             if self._needs_sharding(op, train, tp):
                 flush()
                 sections.extend(self._shard_sections(op, train, tp, 1))
                 continue
-            demand = self._demand_of(op, train, tp)
-            demand = dataclasses.replace(
-                demand,
-                pcus=demand.pcus * O3_PACKING_FACTOR,
-                pmus=demand.pmus * O3_PACKING_FACTOR)
+            base = self._demand_of(op, train, tp)
+            demand = OpDemand(
+                name=base.name,
+                kind=base.kind,
+                flops=base.flops,
+                pcus=base.pcus * O3_PACKING_FACTOR,
+                pmus=base.pmus * O3_PACKING_FACTOR,
+                weight_bytes=base.weight_bytes,
+                io_bytes=base.io_bytes,
+                backward=base.backward,
+                meta=base.meta,
+            )
             kind = self._section_kind(op)
-            pcu_total = sum(d.pcus for d in pending) + demand.pcus
-            pmu_total = sum(d.pmus for d in pending) + demand.pmus
-            if pending and (pcu_total > SECTION_PCU_BUDGET
-                            or pmu_total > SECTION_PMU_BUDGET
+            if pending and (pending_pcus + demand.pcus > SECTION_PCU_BUDGET
+                            or pending_pmus + demand.pmus > SECTION_PMU_BUDGET
                             or kind != pending_kind):
                 flush()
             pending_kind = kind
             pending.append(demand)
+            pending_pcus += demand.pcus
+            pending_pmus += demand.pmus
         flush()
         return sections
 

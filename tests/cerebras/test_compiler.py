@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.cerebras.compiler import WSECompiler
+from repro.cerebras.compiler import USABLE_FRACTION, WSECompiler
+from repro.cerebras.kernels import extract_kernels
 from repro.common.errors import ConfigurationError, OutOfMemoryError
 from repro.core.metrics import allocation_ratio, weighted_load_imbalance
-from repro.models.config import TrainConfig, gpt2_model
+from repro.models.config import TrainConfig, gpt2_model, llama2_model
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +167,66 @@ class TestReportShape:
         report = compiler.compile(small, train)
         for service in report.meta["service_times"].values():
             assert service > 0
+
+
+def reference_allocate(kernels, budget, respect_caps=True):
+    """The original cap-then-water-fill allocator, with per-step lookups."""
+    floors = {k.name: min(k.min_pes, k.cap_pes) for k in kernels}
+    caps = {k.name: k.cap_pes if respect_caps else budget
+            for k in kernels}
+    if sum(floors.values()) > budget:
+        raise OutOfMemoryError(
+            "kernel weight floors exceed the wafer region: "
+            f"{sum(floors.values()):.0f} PEs needed, {budget:.0f} available",
+            required_bytes=sum(floors.values()),
+            available_bytes=budget,
+        )
+    if sum(caps.values()) <= budget:
+        return dict(caps)
+    lo, hi = 0.0, budget / max(min(k.flops_per_sample for k in kernels), 1.0)
+
+    def total(lam: float) -> float:
+        return sum(
+            min(caps[k.name], max(floors[k.name],
+                                  lam * k.flops_per_sample))
+            for k in kernels
+        )
+
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if total(mid) < budget:
+            lo = mid
+        else:
+            hi = mid
+    lam = (lo + hi) / 2.0
+    return {
+        k.name: min(caps[k.name],
+                    max(floors[k.name], lam * k.flops_per_sample))
+        for k in kernels
+    }
+
+
+def _allocation(allocate, *args, **kwargs):
+    try:
+        return allocate(*args, **kwargs)
+    except OutOfMemoryError as exc:
+        return ("oom", str(exc))
+
+
+@pytest.mark.parametrize("respect_caps", [True, False])
+@pytest.mark.parametrize("n_replicas", [1, 2])
+@pytest.mark.parametrize("layers", [1, 12, 24, 48])
+@pytest.mark.parametrize("model", [gpt2_model("small"), llama2_model("7b")],
+                         ids=["gpt2", "llama2"])
+def test_allocate_matches_lookup_water_fill(compiler, train, model, layers,
+                                            n_replicas, respect_caps):
+    kernels = tuple(extract_kernels(model.with_layers(layers), train))
+    budget = float(max(1, compiler.grid_width // n_replicas)
+                   * max(1, int(compiler.grid_height * USABLE_FRACTION)))
+    got = _allocation(compiler._allocate, kernels, budget,
+                      respect_caps=respect_caps)
+    want = _allocation(reference_allocate, kernels, budget,
+                       respect_caps=respect_caps)
+    assert got == want
+    if isinstance(want, dict):
+        assert list(got) == list(want)

@@ -1,7 +1,7 @@
 """Wafer placement: strips, shelves, fragmentation."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
@@ -137,3 +137,88 @@ def test_placement_invariants(demands, strategy):
                 overlap_x = (a.x < b.x + b.width) and (b.x < a.x + a.width)
                 overlap_y = (a.y < b.y + b.height) and (b.y < a.y + a.height)
                 assert not (overlap_x and overlap_y), f"{a} overlaps {b}"
+
+
+def reference_packing_efficiency(placer, demands):
+    """The original fit search: one full ``place()`` per bisection step."""
+    if placer.place(demands).fits:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(24):
+        mid = (lo + hi) / 2.0
+        scaled = [(name, pes * mid) for name, pes in demands]
+        if placer.place(scaled).fits:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@st.composite
+def placer_and_demands(draw):
+    """A small grid plus demands rich in strip-rounding edge cases."""
+    width = draw(st.integers(1, 24))
+    height = draw(st.integers(1, 24))
+    grid = float(width * height)
+    pes = st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(0, 3 * width).map(lambda cols: float(cols * height)),
+        st.floats(min_value=0.0, max_value=2.0 * grid),
+    )
+    demands = draw(st.lists(pes, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        # Strips whose widths sum to exactly grid_width, then maybe one
+        # more value so the total lands just over it.
+        cuts = sorted(draw(st.lists(st.integers(1, width - 1), unique=True,
+                                    max_size=6))) if width > 1 else []
+        edges = [0] + cuts + [width]
+        demands = [float((b - a) * height) for a, b in zip(edges, edges[1:])]
+        demands += draw(st.lists(st.sampled_from(demands + [0.0, 0.5]),
+                                 max_size=2))
+    strategy = draw(st.sampled_from(["strips", "shelves"]))
+    return (WaferPlacer(width, height, strategy=strategy),
+            [(f"k{i}", p) for i, p in enumerate(demands)])
+
+
+def _on_10x10(strategy, *pes):
+    return (WaferPlacer(10, 10, strategy=strategy),
+            [(f"k{i}", p) for i, p in enumerate(pes)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(placer_and_demands())
+# Widths summing to exactly grid_width; a zero still takes a column;
+# one PE over; sub-PE demands, repeated.
+@example(_on_10x10("strips", 50.0, 50.0))
+@example(_on_10x10("strips", 50.0, 50.0, 0.0))
+@example(_on_10x10("strips", 50.0, 50.1))
+@example(_on_10x10("strips", *[0.2] * 11))
+@example(_on_10x10("shelves", 50.0, 50.0, 0.0))
+@example(_on_10x10("shelves", *[0.2] * 11))
+def test_packing_efficiency_matches_place_per_step_search(case):
+    placer, demands = case
+    assert (placer.packing_efficiency(demands)
+            == reference_packing_efficiency(placer, demands))
+
+
+def test_packing_efficiency_keeps_negative_demand_check():
+    for strategy in ("strips", "shelves"):
+        with pytest.raises(ConfigurationError):
+            WaferPlacer(10, 10, strategy=strategy).packing_efficiency(
+                [("a", 500.0), ("b", -1.0)])
+
+
+def test_strip_fit_search_builds_one_placement(monkeypatch):
+    placer = WaferPlacer(100, 100, strategy="strips")
+    calls = []
+    original = WaferPlacer._place_strips
+
+    def counting(self, demands):
+        calls.append(len(demands))
+        return original(self, demands)
+
+    monkeypatch.setattr(WaferPlacer, "_place_strips", counting)
+    efficiency = placer.packing_efficiency([("a", 8000.0), ("b", 8000.0)])
+    assert 0.0 < efficiency < 1.0
+    assert len(calls) == 1

@@ -45,6 +45,27 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             chain3.add_edge("c", "a")
 
+    def test_residual_back_edge_rejected(self):
+        # A cycle closing through a node that already has successors:
+        # res1 -> ln2 -> res2, then res2 -> res1.
+        g = ComputationGraph()
+        for name in ("res1", "ln2", "res2"):
+            g.add_op(op(name))
+        g.chain(["res1", "ln2", "res2"])
+        g.add_edge("res1", "res2", 4.0)
+        with pytest.raises(ConfigurationError, match="cycle"):
+            g.add_edge("res2", "res1")
+        assert len(g.edges) == 3
+        g.validate()
+
+    def test_edge_into_fresh_sink(self, chain3):
+        chain3.add_op(op("d"))
+        edge = chain3.add_edge("a", "d")
+        assert (edge.src, edge.dst) == ("a", "d")
+        assert [o.name for o in chain3.successors("a")] == ["b", "d"]
+        assert {o.name for o in chain3.sinks()} == {"c", "d"}
+        chain3.validate()
+
     def test_edge_bytes_default_to_producer_output(self, chain3):
         edge = [e for e in chain3.edges if e.src == "a"][0]
         assert edge.bytes_transferred == 8.0

@@ -1,5 +1,7 @@
 """Operator dataclass behaviour."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -78,6 +80,25 @@ class TestAsBackward:
 
     def test_custom_multiplier(self):
         assert make_op().as_backward(3.0).flops == 300.0
+
+
+def test_as_backward_matches_replace():
+    """The direct-constructor twin equals the ``dataclasses.replace`` form.
+
+    Compared field by field over every ``dataclasses.fields(Operator)``
+    entry, so a new ``Operator`` field the constructor call forgets
+    fails here; ``attrs`` is shared by identity, as ``replace`` shares it.
+    """
+    op = make_op(layer_index=3, attrs={"m": 2, "k": 3, "n": 4})
+    for multiplier in (2.0, 3.0, 0.0):
+        twin = op.as_backward(multiplier)
+        expected = dataclasses.replace(
+            op, name=f"{op.name}.bwd", flops=op.flops * multiplier,
+            input_bytes=op.output_bytes, output_bytes=op.input_bytes,
+            backward=True)
+        for f in dataclasses.fields(Operator):
+            assert getattr(twin, f.name) == getattr(expected, f.name), f.name
+        assert twin.attrs is op.attrs
 
 
 class TestScaled:

@@ -1,16 +1,21 @@
 """RDU compiler: modes, allocation, partitioning accounting."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import ConfigurationError, OutOfMemoryError
 from repro.core.metrics import allocation_ratio, weighted_load_imbalance
 from repro.models.config import TrainConfig, gpt2_model, llama2_model
 from repro.models.precision import Precision, PrecisionPolicy
+from repro.models.graph_builder import build_training_graph
 from repro.sambanova.compiler import (
+    O3_PACKING_FACTOR,
     RDUCompiler,
     SECTION_PCU_BUDGET,
     SECTION_PMU_BUDGET,
 )
+from repro.sambanova.sections import Section
 from repro.workloads import decoder_block_probe
 
 
@@ -186,3 +191,72 @@ class TestPrecisionEffects:
             batch_size=16, seq_len=1024,
             precision=PrecisionPolicy.matmul_only(Precision.BF16)))
         assert casty.meta["pcu_rate"] < pure.meta["pcu_rate"]
+
+
+def reference_sections_o3(self, graph, model, train, tp):
+    """The original O3 packer: rescans ``pending`` for every operator."""
+    order = graph.topological_order()
+    sections = []
+    pending = []
+    pending_kind = "forward"
+    counter = {"n": 0}
+
+    def flush() -> None:
+        if not pending:
+            return
+        sections.append(Section(
+            name=f"sec{counter['n']}",
+            ops=list(pending),
+            invocations=1,
+            kind=pending_kind,
+        ))
+        counter["n"] += 1
+        pending.clear()
+
+    for op in order:
+        if self._needs_sharding(op, train, tp):
+            flush()
+            sections.extend(self._shard_sections(op, train, tp, 1))
+            continue
+        demand = self._demand_of(op, train, tp)
+        demand = dataclasses.replace(
+            demand,
+            pcus=demand.pcus * O3_PACKING_FACTOR,
+            pmus=demand.pmus * O3_PACKING_FACTOR)
+        kind = self._section_kind(op)
+        pcu_total = sum(d.pcus for d in pending) + demand.pcus
+        pmu_total = sum(d.pmus for d in pending) + demand.pmus
+        if pending and (pcu_total > SECTION_PCU_BUDGET
+                        or pmu_total > SECTION_PMU_BUDGET
+                        or kind != pending_kind):
+            flush()
+        pending_kind = kind
+        pending.append(demand)
+    flush()
+    return sections
+
+
+def _section_rows(sections):
+    """Every field of every section and op, ``meta`` included."""
+    return [(s.name, s.invocations, s.kind,
+             [dataclasses.astuple(op) for op in s.ops]) for s in sections]
+
+
+@pytest.mark.parametrize("tp", [1, 2])
+@pytest.mark.parametrize("layers", [1, 12, 24, 48])
+@pytest.mark.parametrize("model", [gpt2_model("small"), llama2_model("7b")],
+                         ids=["gpt2", "llama2"])
+# At batch 32 x seq 2048 the PMU budget, not the PCU one, closes most
+# GPT-2 sections.
+@pytest.mark.parametrize("batch,seq,training", [
+    (16, 1024, True), (16, 1024, False), (32, 2048, True),
+], ids=["train", "infer", "train-pmu-bound"])
+def test_sections_o3_matches_rescanning_packer(compiler, model, layers, tp,
+                                               batch, seq, training):
+    model = model.with_layers(layers)
+    train = TrainConfig(batch_size=batch, seq_len=seq, training=training,
+                        precision=PrecisionPolicy.pure(Precision.BF16))
+    graph = build_training_graph(model, train)
+    got = compiler._sections_o3(graph, model, train, tp)
+    want = reference_sections_o3(compiler, graph, model, train, tp)
+    assert _section_rows(got) == _section_rows(want)

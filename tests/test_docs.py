@@ -16,13 +16,16 @@ import pytest
 from repro import TrainConfig, gpt2_model
 from repro.workloads.sweeps import SweepSpec
 
-DOCS_DIR = Path(__file__).resolve().parent.parent / "docs"
+ROOT = Path(__file__).resolve().parent.parent
+DOCS_DIR = ROOT / "docs"
 
 # Pages whose blocks are executed, not just compiled.
 EXECUTED_PAGES = ("campaign.md", "robustness.md", "observability.md",
                   "caching.md", "performance.md")
 
 FENCE = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
+# A test file cited in prose, optionally with ``::Name`` parts.
+TEST_REF = re.compile(r"\b((?:benchmarks|tests)/[\w/]+\.py)((?:::\w+)*)")
 
 
 def python_blocks(page: Path) -> list[str]:
@@ -61,3 +64,20 @@ def test_guide_blocks_execute(name, tmp_path, monkeypatch, capsys,
         code = compile(block, f"{name}[block {i}]", "exec")
         exec(code, namespace)  # blocks share one namespace, in order
     assert "the page printed nothing" and capsys.readouterr().out
+
+
+def test_named_tests_exist():
+    """Every test file (and ``::Name``) the docs cite is really there."""
+    broken = []
+    for page in doc_pages() + [ROOT / "README.md"]:
+        for path, names in TEST_REF.findall(page.read_text()):
+            target = ROOT / path
+            if not target.is_file():
+                broken.append(f"{page.name}: {path}")
+                continue
+            source = target.read_text()
+            for name in names.split("::")[1:]:
+                if not re.search(rf"^\s*(?:def|class) {name}\b", source,
+                                 re.MULTILINE):
+                    broken.append(f"{page.name}: {path}::{name}")
+    assert not broken, "docs cite missing tests: " + ", ".join(broken)
