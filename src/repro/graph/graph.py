@@ -1,9 +1,10 @@
 """A validated directed acyclic graph of :class:`~repro.graph.ops.Operator` nodes.
 
-The graph is the exchange format between the model builders
-(:mod:`repro.models.graph_builder`) and the platform compilers. It offers
-exactly the queries those compilers need: topological order, per-layer
-views, aggregate cost totals, and subgraph extraction.
+:mod:`repro.models.graph_builder` builds two of them from a model
+lowering: the full training graph, for inspection, and the one-layer
+graph whose linear chains the RDU's O1 mode fuses. The queries cover
+topological order, per-layer views, aggregate cost totals, and subgraph
+extraction.
 """
 
 from __future__ import annotations

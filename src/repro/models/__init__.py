@@ -8,8 +8,10 @@ hidden size. This package provides:
 * :mod:`repro.models.config` — model/training configuration dataclasses
   with the GPT-2 and LLaMA-2 family presets used throughout the paper,
 * :mod:`repro.models.costmodel` — parameter/FLOPs/activation estimators,
-* :mod:`repro.models.graph_builder` — lowering a config into a
-  :class:`~repro.graph.graph.ComputationGraph` training graph.
+* :mod:`repro.models.graph_builder` — lowering a config once, as one
+  decoder layer x L (:func:`lower_model`), and the full
+  :class:`~repro.graph.graph.ComputationGraph` training graph built
+  from that lowering.
 """
 
 from repro.models.config import (
@@ -21,7 +23,11 @@ from repro.models.config import (
     llama2_model,
 )
 from repro.models.costmodel import TransformerCostModel
-from repro.models.graph_builder import build_training_graph
+from repro.models.graph_builder import (
+    ModelLowering,
+    build_training_graph,
+    lower_model,
+)
 from repro.models.precision import Precision, PrecisionPolicy
 
 __all__ = [
@@ -34,5 +40,7 @@ __all__ = [
     "GPT2_PRESETS",
     "LLAMA2_PRESETS",
     "TransformerCostModel",
+    "ModelLowering",
     "build_training_graph",
+    "lower_model",
 ]

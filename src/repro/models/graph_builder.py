@@ -1,14 +1,21 @@
-"""Lower a model + training config into a training computation graph.
+"""Lower a model + training config once, as one decoder layer x L.
 
-The produced :class:`~repro.graph.graph.ComputationGraph` contains the
-forward operators of every decoder layer, model-level operators (embedding,
-final norm, LM head, loss), the backward twins in reverse order, and a
-final optimizer node — the graph shape all three platform compilers
-consume (paper Sec. III: "programs are represented as computation graphs,
-where nodes denote operators and edges represent data dependencies").
+:func:`lower_model` returns a :class:`ModelLowering`: the forward
+operators of decoder layer 0, the model-level operators and the layer
+count. The decoder stack is L identical blocks, so layer ``i``'s
+operators are layer 0's, relabelled. The lowering fixes the order of
+the training graph (paper Sec. III: "programs are represented as
+computation graphs, where nodes denote operators and edges represent
+data dependencies"), and the RDU compiler walks that order without
+building the graph. :func:`build_training_graph` builds the full
+:class:`~repro.graph.graph.ComputationGraph` from the lowering's
+operators.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Iterator
 
 from repro.graph.graph import ComputationGraph
 from repro.graph.ops import OpKind, Operator
@@ -103,9 +110,147 @@ def _layer_forward_ops(model: ModelConfig, train: TrainConfig,
     return ops
 
 
+def layer_name(name: str, layer: int) -> str:
+    """Relabel ``name`` -- a layer-0 operator's, or one derived from it
+    such as ``layer0.qkv.bwd`` -- to decoder layer ``layer``."""
+    return f"layer{layer}{name[len('layer0'):]}"
+
+
+@dataclass(frozen=True)
+class ModelLowering:
+    """A model + training config lowered once: one decoder layer x L.
+
+    Attributes:
+        layer: layer 0's forward operators, in execution order.
+        model_ops: the model-level operators in training order:
+            embedding, final norm, LM head and loss; when training, then
+            the LM head's, final norm's and embedding's backward twins
+            and the optimizer.
+        n_layers: decoder-layer count L.
+        training: whether the config trains (backward + optimizer).
+    """
+
+    layer: tuple[Operator, ...]
+    model_ops: tuple[Operator, ...]
+    n_layers: int
+    training: bool
+
+    def layer_backward(self) -> list[Operator]:
+        """Layer 0's backward twins in execution order (none for
+        inference)."""
+        if not self.training:
+            return []
+        return [op.as_backward() for op in reversed(self.layer)]
+
+    def training_order(self) -> Iterator[tuple[Operator, int]]:
+        """The training graph's topological order as ``(op, layer)``.
+
+        Decoder entries pair a layer-0 operator with the layer it
+        stands for (relabel with :func:`layer_name`); model-level
+        operators come with ``-1``::
+
+            embedding -> [layer ops]*L -> final_norm -> lm_head -> loss
+                     -> [backward twins in reverse] -> optimizer
+        """
+        embedding, *head = self.model_ops[:4]
+        yield embedding, -1
+        for layer in range(self.n_layers):
+            for op in self.layer:
+                yield op, layer
+        for op in head:
+            yield op, -1
+        if not self.training:
+            return
+        *head_backward, embedding_backward, optimizer = self.model_ops[4:]
+        for op in head_backward:
+            yield op, -1
+        backward = self.layer_backward()
+        for layer in reversed(range(self.n_layers)):
+            for op in backward:
+                yield op, layer
+        yield embedding_backward, -1
+        yield optimizer, -1
+
+    @property
+    def total_flops(self) -> float:
+        """Per-step FLOPs of the whole training graph, summed in its
+        order (bit-identical to the graph's ``total_flops``)."""
+        return sum(op.flops for op, _layer in self.training_order())
+
+    def layer_graph(self) -> ComputationGraph:
+        """Layer 0's forward and backward operators with their edges:
+        the forward chain, the ``res1 -> res2`` skip and the backward
+        chain -- the full graph's layer-0 subgraph."""
+        forward = list(self.layer)
+        backward = self.layer_backward()
+        graph = ComputationGraph(name="layer0")
+        for op in forward + backward:
+            graph.add_op(op)
+        graph.chain(op.name for op in forward)
+        res1, res2 = (op.name for op in forward
+                      if op.kind is OpKind.RESIDUAL_ADD)
+        graph.add_edge(res1, res2)
+        graph.chain(op.name for op in backward)
+        return graph
+
+
+def lower_model(model: ModelConfig, train: TrainConfig) -> ModelLowering:
+    """Lower ``model`` under ``train``: layer 0 and the model-level
+    operators, each constructed once."""
+    cost = TransformerCostModel(model)
+    tokens = train.tokens_per_step
+    hid = _hidden_bytes(model, train)
+    wbytes = train.precision.weight_bytes_per_param
+    act = train.precision.activation_bytes_per_value
+    logits_bytes = train.batch_size * train.seq_len * model.vocab_size * act
+
+    embed = Operator(
+        "embedding", OpKind.EMBEDDING,
+        flops=cost.embedding_forward_flops(train),
+        weight_bytes=cost.embedding_params() * wbytes,
+        input_bytes=tokens * 4.0,  # int32 token ids
+        output_bytes=hid)
+    final_norm = Operator(
+        "final_norm", OpKind.LAYERNORM,
+        flops=5.0 * tokens * model.hidden_size,
+        weight_bytes=cost.final_norm_params() * wbytes,
+        input_bytes=hid, output_bytes=hid)
+    lm_head = Operator(
+        "lm_head", OpKind.LM_HEAD,
+        flops=cost.lm_head_forward_flops(train),
+        weight_bytes=cost.lm_head_params() * wbytes,
+        input_bytes=hid, output_bytes=logits_bytes,
+        attrs={"m": tokens, "k": model.hidden_size, "n": model.vocab_size})
+    loss = Operator(
+        "loss", OpKind.LOSS,
+        flops=10.0 * tokens,
+        input_bytes=logits_bytes, output_bytes=8.0)
+    model_ops = [embed, final_norm, lm_head, loss]
+    if train.training:
+        # The backward pass reaches these twins in this order (the
+        # decoder layers' twins come between the final norm's and the
+        # embedding's), then the optimizer.
+        model_ops += [lm_head.as_backward(), final_norm.as_backward(),
+                      embed.as_backward()]
+        model_ops.append(Operator(
+            "optimizer", OpKind.OPTIMIZER,
+            # Adam: ~a dozen elementwise ops/param
+            flops=12.0 * cost.total_params(),
+            weight_bytes=cost.optimizer_state_bytes(train),
+            input_bytes=cost.gradient_bytes(train),
+            output_bytes=cost.weight_bytes(train)))
+    return ModelLowering(
+        layer=tuple(_layer_forward_ops(model, train, 0)),
+        model_ops=tuple(model_ops),
+        n_layers=model.n_layers,
+        training=train.training,
+    )
+
+
 def build_training_graph(model: ModelConfig,
                          train: TrainConfig) -> ComputationGraph:
-    """Build the full forward+backward+optimizer training graph.
+    """The full forward+backward+optimizer training graph, built from
+    :func:`lower_model`'s operators.
 
     Structure::
 
@@ -114,76 +259,25 @@ def build_training_graph(model: ModelConfig,
 
     Residual skip connections are represented as extra edges into the
     ``res1``/``res2`` adds, so section/stage boundary cuts see realistic
-    communication volumes.
+    communication volumes. Inference graphs end at the loss node.
     """
-    cost = TransformerCostModel(model)
-    graph = ComputationGraph(name=f"{model.name}-train")
-    tokens = train.tokens_per_step
     hid = _hidden_bytes(model, train)
-    wbytes = train.precision.weight_bytes_per_param
-    act = train.precision.activation_bytes_per_value
-    logits_bytes = train.batch_size * train.seq_len * model.vocab_size * act
-
-    embed = graph.add_op(Operator(
-        "embedding", OpKind.EMBEDDING,
-        flops=cost.embedding_forward_flops(train),
-        weight_bytes=cost.embedding_params() * wbytes,
-        input_bytes=tokens * 4.0,  # int32 token ids
-        output_bytes=hid))
-
-    forward_order: list[Operator] = [embed]
-    previous = embed.name
-    for layer in range(model.n_layers):
-        layer_ops = _layer_forward_ops(model, train, layer)
-        block_input = previous
-        for op in layer_ops:
-            graph.add_op(op)
-            forward_order.append(op)
-        names = [op.name for op in layer_ops]
-        graph.chain([block_input] + names)
-        # Residual skips: block input joins res1, res1 output joins res2.
-        graph.add_edge(block_input, f"layer{layer}.res1", hid)
-        graph.add_edge(f"layer{layer}.res1", f"layer{layer}.res2", hid)
-        previous = names[-1]
-
-    final_norm = graph.add_op(Operator(
-        "final_norm", OpKind.LAYERNORM,
-        flops=5.0 * tokens * model.hidden_size,
-        weight_bytes=cost.final_norm_params() * wbytes,
-        input_bytes=hid, output_bytes=hid))
-    lm_head = graph.add_op(Operator(
-        "lm_head", OpKind.LM_HEAD,
-        flops=cost.lm_head_forward_flops(train),
-        weight_bytes=cost.lm_head_params() * wbytes,
-        input_bytes=hid, output_bytes=logits_bytes,
-        attrs={"m": tokens, "k": model.hidden_size, "n": model.vocab_size}))
-    loss = graph.add_op(Operator(
-        "loss", OpKind.LOSS,
-        flops=10.0 * tokens,
-        input_bytes=logits_bytes, output_bytes=8.0))
-    graph.chain([previous, final_norm.name, lm_head.name, loss.name])
-    forward_order.extend([final_norm, lm_head, loss])
-
-    if not train.training:
-        # Inference graphs end at the logits/loss node: no gradient
-        # twins, no optimizer.
-        graph.validate()
-        return graph
-
-    # Backward pass: twin every forward op (except loss), reverse order.
-    backward_source = loss.name
-    for op in reversed(forward_order[:-1]):
-        bwd = graph.add_op(op.as_backward())
-        graph.add_edge(backward_source, bwd.name)
-        backward_source = bwd.name
-
-    total_params = cost.total_params()
-    optimizer = graph.add_op(Operator(
-        "optimizer", OpKind.OPTIMIZER,
-        flops=12.0 * total_params,  # Adam: ~a dozen elementwise ops/param
-        weight_bytes=cost.optimizer_state_bytes(train),
-        input_bytes=cost.gradient_bytes(train),
-        output_bytes=cost.weight_bytes(train)))
-    graph.add_edge(backward_source, optimizer.name)
+    graph = ComputationGraph(name=f"{model.name}-train")
+    order = lower_model(model, train).training_order()
+    embedding, _layer = next(order)
+    graph.add_op(embedding)
+    # ``stream`` is the residual stream's latest producer: the block
+    # input joins res1, res1's output joins res2.
+    previous = stream = embedding.name
+    for op, layer in order:
+        if layer > 0:
+            op = replace(op, name=layer_name(op.name, layer),
+                         layer_index=layer)
+        graph.add_op(op)
+        graph.add_edge(previous, op.name)
+        if op.kind is OpKind.RESIDUAL_ADD and not op.backward:
+            graph.add_edge(stream, op.name, hid)
+            stream = op.name
+        previous = op.name
     graph.validate()
     return graph

@@ -16,10 +16,10 @@ Section partitioning (paper Sec. III-B, Fig. 4)
   matmul with its trailing elementwise ops into a module; one module per
   section, invoked per layer. Oversized matrices shard via
   :mod:`repro.sambanova.sharding`.
-* **O3** — the full multi-layer graph is packed decoder-by-decoder into
-  sections under a PCU/PMU budget; large hidden sizes force decoders to
-  split across sections (the Table II(a) "Ratio" column), small ones let
-  sections span multiple decoders.
+* **O3** — the full multi-layer training order is packed
+  decoder-by-decoder into sections under a PCU/PMU budget; large hidden
+  sizes force decoders to split across sections (the Table II(a)
+  "Ratio" column), small ones let sections span multiple decoders.
 
 Tensor parallelism shards every matmul across ``tp`` RDUs and inserts
 per-layer all-reduce sections whose cost depends on whether the group
@@ -28,6 +28,7 @@ fits inside one SN30 machine (Sec. VI-A3b).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable
 
 from repro.common.errors import ConfigurationError, OutOfMemoryError
@@ -46,13 +47,12 @@ from repro.core.stages import (
     run_stages,
     unfingerprinted,
 )
-from repro.graph.graph import ComputationGraph
 from repro.graph.ops import OpKind, Operator
 from repro.graph.partition import fuse_linear_chains
 from repro.hardware.specs import SN30_SYSTEM, SystemSpec
 from repro.models.config import ModelConfig, TrainConfig
 from repro.models.costmodel import TransformerCostModel
-from repro.models.graph_builder import build_training_graph
+from repro.models.graph_builder import ModelLowering, layer_name, lower_model
 from repro.sambanova.sections import OpDemand, Section
 from repro.sambanova.sharding import SHARD_WEIGHT_BYTES, plan_shards
 
@@ -118,8 +118,10 @@ class RDUCompiler:
         """:meth:`compile` as a staged pipeline (graph → partition →
         report).
 
-        The graph stage keys only on the model/train digests — an
-        O0/O1/O3 or TP sweep builds the training graph exactly once.
+        The graph stage lowers the model once, as one decoder layer
+        x L (:func:`~repro.models.graph_builder.lower_model`), and keys
+        only on the model/train digests — an O0/O1/O3 or TP sweep
+        lowers the model exactly once.
         Sectioning adds the mode, the TP degree, and the hardware spec;
         the report stage is pure downstream of the sections. There is
         no distinct placement stage on the RDU: section mapping *is*
@@ -134,20 +136,20 @@ class RDUCompiler:
                 f"tp={tp} exceeds the {self.system.total_chips} RDUs of "
                 f"{self.system.name}")
 
-        def build_graph(_prev: None) -> ComputationGraph:
-            return build_training_graph(model, train)
+        def build_graph(_prev: None) -> ModelLowering:
+            return lower_model(model, train)
 
-        def partition(graph: ComputationGraph) -> dict[str, Any]:
+        def partition(lowering: ModelLowering) -> dict[str, Any]:
             if mode == "O0":
-                sections = self._sections_o0(graph, model, train, tp)
+                sections = self._sections_o0(lowering, train, tp)
             elif mode == "O1":
-                sections = self._sections_o1(graph, model, train, tp)
+                sections = self._sections_o1(lowering, train, tp)
             else:
-                sections = self._sections_o3(graph, model, train, tp)
+                sections = self._sections_o3(lowering, train, tp)
             if tp > 1:
                 sections.extend(self._comm_sections(model, train, tp))
             return {"sections": tuple(sections),
-                    "step_flops": graph.total_flops}
+                    "step_flops": lowering.total_flops}
 
         def report(part: dict[str, Any]) -> CompileReport:
             sections = part["sections"]
@@ -286,21 +288,13 @@ class RDUCompiler:
     # ------------------------------------------------------------------
     # Mode-specific sectioners
     # ------------------------------------------------------------------
-    def _representative_ops(self, graph: ComputationGraph
-                            ) -> tuple[list[Operator], list[Operator]]:
-        """(layer-0 ops, model-level ops) in topological order."""
-        order = graph.topological_order()
-        layer0 = [op for op in order if op.layer_index == 0]
-        model_level = [op for op in order if op.layer_index < 0]
-        return layer0, model_level
-
-    def _sections_o0(self, graph: ComputationGraph, model: ModelConfig,
-                     train: TrainConfig, tp: int) -> list[Section]:
+    def _sections_o0(self, lowering: ModelLowering, train: TrainConfig,
+                     tp: int) -> list[Section]:
         """One operator per section."""
-        layer0, model_level = self._representative_ops(graph)
+        layer0 = list(lowering.layer) + lowering.layer_backward()
         sections: list[Section] = []
-        for op in layer0 + model_level:
-            invocations = model.n_layers if op.layer_index >= 0 else 1
+        for op in layer0 + list(lowering.model_ops):
+            invocations = lowering.n_layers if op.layer_index >= 0 else 1
             if self._needs_sharding(op, train, tp):
                 sections.extend(
                     self._shard_sections(op, train, tp, invocations))
@@ -313,28 +307,25 @@ class RDUCompiler:
             ))
         return sections
 
-    def _sections_o1(self, graph: ComputationGraph, model: ModelConfig,
-                     train: TrainConfig, tp: int) -> list[Section]:
+    def _sections_o1(self, lowering: ModelLowering, train: TrainConfig,
+                     tp: int) -> list[Section]:
         """One fused module per section."""
-        layer0, model_level = self._representative_ops(graph)
-        names = [op.name for op in layer0]
-        layer_graph = graph.subgraph(names, name="layer0")
-        modules = fuse_linear_chains(layer_graph)
+        modules = fuse_linear_chains(lowering.layer_graph())
         sections: list[Section] = []
         for index, module in enumerate(modules):
             if len(module) == 1 and self._needs_sharding(
                     module[0], train, tp):
                 sections.extend(self._shard_sections(
-                    module[0], train, tp, model.n_layers))
+                    module[0], train, tp, lowering.n_layers))
                 continue
             demands = [self._demand_of(op, train, tp) for op in module]
             sections.append(Section(
                 name=f"module{index}({module[0].name})",
                 ops=demands,
-                invocations=model.n_layers,
+                invocations=lowering.n_layers,
                 kind=self._section_kind(module[0]),
             ))
-        for op in model_level:
+        for op in lowering.model_ops:
             if self._needs_sharding(op, train, tp):
                 sections.extend(self._shard_sections(op, train, tp, 1))
                 continue
@@ -346,10 +337,17 @@ class RDUCompiler:
             ))
         return sections
 
-    def _sections_o3(self, graph: ComputationGraph, model: ModelConfig,
-                     train: TrainConfig, tp: int) -> list[Section]:
-        """Pack the full multi-layer graph into budgeted sections."""
-        order = graph.topological_order()
+    def _sections_o3(self, lowering: ModelLowering, train: TrainConfig,
+                     tp: int) -> list[Section]:
+        """Pack the full multi-layer training order into budgeted
+        sections.
+
+        Decoder layer ``i`` repeats layer 0, so each layer-0 op's
+        sharding decision and packed demand are worked out once and
+        relabelled per layer.
+        """
+        # op name -> packed demand, or None when the op shards
+        plans: dict[str, OpDemand | None] = {}
         sections: list[Section] = []
         pending: list[OpDemand] = []
         pending_kind = "forward"
@@ -372,23 +370,18 @@ class RDUCompiler:
             pending.clear()
             pending_pcus = pending_pmus = 0
 
-        for op in order:
-            if self._needs_sharding(op, train, tp):
+        for op, layer in lowering.training_order():
+            if op.name not in plans:
+                plans[op.name] = self._packed_demand(op, train, tp)
+            demand = plans[op.name]
+            if demand is None:
                 flush()
+                if layer > 0:
+                    op = replace(op, name=layer_name(op.name, layer))
                 sections.extend(self._shard_sections(op, train, tp, 1))
                 continue
-            base = self._demand_of(op, train, tp)
-            demand = OpDemand(
-                name=base.name,
-                kind=base.kind,
-                flops=base.flops,
-                pcus=base.pcus * O3_PACKING_FACTOR,
-                pmus=base.pmus * O3_PACKING_FACTOR,
-                weight_bytes=base.weight_bytes,
-                io_bytes=base.io_bytes,
-                backward=base.backward,
-                meta=base.meta,
-            )
+            if layer > 0:
+                demand = demand.renamed(layer_name(demand.name, layer))
             kind = self._section_kind(op)
             if pending and (pending_pcus + demand.pcus > SECTION_PCU_BUDGET
                             or pending_pmus + demand.pmus > SECTION_PMU_BUDGET
@@ -400,6 +393,25 @@ class RDUCompiler:
             pending_pmus += demand.pmus
         flush()
         return sections
+
+    def _packed_demand(self, op: Operator, train: TrainConfig,
+                       tp: int) -> OpDemand | None:
+        """``op``'s O3 demand, its grants shrunk by
+        :data:`O3_PACKING_FACTOR`; ``None`` when the op shards."""
+        if self._needs_sharding(op, train, tp):
+            return None
+        base = self._demand_of(op, train, tp)
+        return OpDemand(
+            name=base.name,
+            kind=base.kind,
+            flops=base.flops,
+            pcus=base.pcus * O3_PACKING_FACTOR,
+            pmus=base.pmus * O3_PACKING_FACTOR,
+            weight_bytes=base.weight_bytes,
+            io_bytes=base.io_bytes,
+            backward=base.backward,
+            meta=base.meta,
+        )
 
     @staticmethod
     def _section_kind(op: Operator) -> str:

@@ -48,6 +48,12 @@ class OpDemand:
         if self.flops < 0:
             raise ConfigurationError(f"op {self.name!r}: flops must be >= 0")
 
+    def renamed(self, name: str) -> "OpDemand":
+        """This demand under another name, with its own ``meta``."""
+        return OpDemand(name, self.kind, self.flops, self.pcus, self.pmus,
+                        self.weight_bytes, self.io_bytes, self.backward,
+                        dict(self.meta))
+
 
 @dataclass
 class Section:

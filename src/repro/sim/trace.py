@@ -9,12 +9,19 @@ paper Sec. IV-D(b).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class _Fields(NamedTuple):
+    start: float
+    end: float
+    task: str
+    category: str
+    item: int
+    meta: dict[str, Any]
+
+
+class TraceRecord(_Fields):
     """One completed unit of work.
 
     Attributes:
@@ -23,14 +30,31 @@ class TraceRecord:
         category: coarse grouping (``compute``, ``transfer``, ``host``).
         item: which work item (micro-batch index, section invocation).
         meta: free-form annotations (flops, bytes, device).
+
+    A record is an immutable tuple, so a trace of hundreds of thousands
+    of rows iterates cheaply. Equality and hashing cover every field but
+    ``meta``, and a record never equals a plain tuple.
     """
 
-    start: float
-    end: float
-    task: str
-    category: str = "compute"
-    item: int = 0
-    meta: dict[str, Any] = field(default_factory=dict, compare=False)
+    __slots__ = ()
+
+    def __new__(cls, start: float, end: float, task: str,
+                category: str = "compute", item: int = 0,
+                meta: dict[str, Any] | None = None) -> "TraceRecord":
+        return tuple.__new__(cls, (start, end, task, category, item,
+                                   {} if meta is None else meta))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TraceRecord):
+            return self[:5] == other[:5]
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
 
     @property
     def duration(self) -> float:
@@ -43,7 +67,7 @@ class Trace:
     Records are stored as plain row tuples ``(start, end, task,
     category, item, meta)`` -- a simulator appends hundreds of thousands
     of them per run, and most are only ever aggregated. Iteration and
-    :attr:`records` build :class:`TraceRecord` objects when read.
+    :attr:`records` build :class:`TraceRecord` tuples when read.
     """
 
     def __init__(self) -> None:
@@ -76,9 +100,11 @@ class Trace:
         return len(self._rows)
 
     def __iter__(self) -> Iterator[TraceRecord]:
+        # Rows are already in field order: skip TraceRecord.__new__.
+        new = tuple.__new__
         for start, end, task, category, item, meta in self._rows:
-            yield TraceRecord(start, end, task, category, item,
-                              {} if meta is None else meta)
+            yield new(TraceRecord, (start, end, task, category, item,
+                                    {} if meta is None else meta))
 
     @property
     def records(self) -> list[TraceRecord]:

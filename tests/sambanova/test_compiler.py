@@ -8,7 +8,8 @@ from repro.common.errors import ConfigurationError, OutOfMemoryError
 from repro.core.metrics import allocation_ratio, weighted_load_imbalance
 from repro.models.config import TrainConfig, gpt2_model, llama2_model
 from repro.models.precision import Precision, PrecisionPolicy
-from repro.models.graph_builder import build_training_graph
+from repro.models import graph_builder
+from repro.models.graph_builder import build_training_graph, lower_model
 from repro.sambanova.compiler import (
     O3_PACKING_FACTOR,
     RDUCompiler,
@@ -256,7 +257,23 @@ def test_sections_o3_matches_rescanning_packer(compiler, model, layers, tp,
     model = model.with_layers(layers)
     train = TrainConfig(batch_size=batch, seq_len=seq, training=training,
                         precision=PrecisionPolicy.pure(Precision.BF16))
-    graph = build_training_graph(model, train)
-    got = compiler._sections_o3(graph, model, train, tp)
-    want = reference_sections_o3(compiler, graph, model, train, tp)
+    got = compiler._sections_o3(lower_model(model, train), train, tp)
+    want = reference_sections_o3(compiler, build_training_graph(model, train),
+                                 model, train, tp)
     assert _section_rows(got) == _section_rows(want)
+
+
+def test_compile_lowers_one_layer(compiler, train, monkeypatch):
+    """An O3 compile of 48 layers lowers one decoder layer, not 48."""
+    calls = []
+    layer_forward_ops = graph_builder._layer_forward_ops
+
+    def counted(*args):
+        calls.append(args)
+        return layer_forward_ops(*args)
+
+    monkeypatch.setattr(graph_builder, "_layer_forward_ops", counted)
+    report = compiler.compile(gpt2_model("small").with_layers(48), train,
+                              mode="O3")
+    assert len(calls) == 1
+    assert report.meta["sections"][-1].ops[-1].name == "optimizer"

@@ -22,6 +22,33 @@ class TestRecord:
         rec = TraceRecord(start=1.0, end=3.5, task="x")
         assert rec.duration == 2.5
 
+    def test_equality_and_hash_ignore_meta(self):
+        rec = TraceRecord(start=1.0, end=3.5, task="x", meta={"flops": 1})
+        same = TraceRecord(1.0, 3.5, "x", "compute", 0, {"flops": 2})
+        assert rec == same and not rec != same
+        assert hash(rec) == hash(same)
+        assert rec != TraceRecord(1.0, 3.5, "x", item=1)
+        assert len({rec, same}) == 1
+
+    def test_never_equals_a_plain_tuple(self):
+        rec = TraceRecord(start=1.0, end=3.5, task="x")
+        for row in [(1.0, 3.5, "x", "compute", 0, {}),
+                    (1.0, 3.5, "x", "compute", 0)]:
+            assert rec != row and row != rec
+            assert not rec == row and not row == rec
+
+    def test_immutable_with_its_own_meta(self):
+        first = TraceRecord(start=0.0, end=1.0, task="a")
+        second = TraceRecord(start=0.0, end=1.0, task="a")
+        assert first.meta == {} and first.meta is not second.meta
+        with pytest.raises(AttributeError):
+            first.start = 2.0
+        trace = Trace()
+        trace.append(0.0, 1.0, "a")
+        trace.append(1.0, 2.0, "a")
+        metas = [r.meta for r in trace]
+        assert metas == [{}, {}] and metas[0] is not metas[1]
+
     def test_reversed_interval_rejected(self):
         trace = Trace()
         with pytest.raises(ValueError):
