@@ -89,7 +89,9 @@ __all__ = [
 #: (see :meth:`~repro.models.config.ModelConfig.content_digest`) and
 #: stage artifacts spill under ``stage/``.
 #: v3: run reports carry row-backed traces (``Trace._rows``).
-CACHE_VERSION = 3
+#: v4: the RDU graph stage spills a
+#: :class:`~repro.models.graph_builder.ModelLowering`, not a graph.
+CACHE_VERSION = 4
 
 #: Trace-event statuses for the ``"cache"`` event name.
 CACHE_HIT = "hit"

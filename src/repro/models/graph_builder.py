@@ -110,30 +110,46 @@ def _layer_forward_ops(model: ModelConfig, train: TrainConfig,
     return ops
 
 
-def layer_name(name: str, layer: int) -> str:
-    """Relabel ``name`` -- a layer-0 operator's, or one derived from it
-    such as ``layer0.qkv.bwd`` -- to decoder layer ``layer``."""
-    return f"layer{layer}{name[len('layer0'):]}"
-
-
 @dataclass(frozen=True)
 class ModelLowering:
     """A model + training config lowered once: one decoder layer x L.
 
     Attributes:
         layer: layer 0's forward operators, in execution order.
-        model_ops: the model-level operators in training order:
-            embedding, final norm, LM head and loss; when training, then
-            the LM head's, final norm's and embedding's backward twins
-            and the optimizer.
+        model_forward: the embedding, final norm, LM head and loss.
+        model_backward: when training, the LM head's, final norm's and
+            embedding's backward twins and the optimizer, in the order
+            the backward pass reaches them; empty for inference.
         n_layers: decoder-layer count L.
         training: whether the config trains (backward + optimizer).
     """
 
     layer: tuple[Operator, ...]
-    model_ops: tuple[Operator, ...]
+    model_forward: tuple[Operator, ...]
+    model_backward: tuple[Operator, ...]
     n_layers: int
     training: bool
+
+    @property
+    def model_ops(self) -> tuple[Operator, ...]:
+        """Every model-level operator: forward, then backward."""
+        return self.model_forward + self.model_backward
+
+    @staticmethod
+    def name_at(op: Operator, layer: int) -> str:
+        """The name ``op`` -- a layer-0 operator or its backward twin, or
+        a model-level operator (``layer`` -1) -- has in ``layer``."""
+        if layer <= 0:
+            return op.name
+        return f"layer{layer}{op.name[len('layer0'):]}"
+
+    @classmethod
+    def at(cls, op: Operator, layer: int) -> Operator:
+        """``op`` as it stands in decoder layer ``layer``: renamed, with
+        its ``layer_index`` set (unchanged for layer 0 and ``-1``)."""
+        if layer <= 0:
+            return op
+        return replace(op, name=cls.name_at(op, layer), layer_index=layer)
 
     def layer_backward(self) -> list[Operator]:
         """Layer 0's backward twins in execution order (none for
@@ -146,13 +162,13 @@ class ModelLowering:
         """The training graph's topological order as ``(op, layer)``.
 
         Decoder entries pair a layer-0 operator with the layer it
-        stands for (relabel with :func:`layer_name`); model-level
-        operators come with ``-1``::
+        stands for (:meth:`at` gives the operator in that layer);
+        model-level operators come with ``-1``::
 
             embedding -> [layer ops]*L -> final_norm -> lm_head -> loss
                      -> [backward twins in reverse] -> optimizer
         """
-        embedding, *head = self.model_ops[:4]
+        embedding, *head = self.model_forward
         yield embedding, -1
         for layer in range(self.n_layers):
             for op in self.layer:
@@ -161,7 +177,7 @@ class ModelLowering:
             yield op, -1
         if not self.training:
             return
-        *head_backward, embedding_backward, optimizer = self.model_ops[4:]
+        *head_backward, embedding_backward, optimizer = self.model_backward
         for op in head_backward:
             yield op, -1
         backward = self.layer_backward()
@@ -225,23 +241,23 @@ def lower_model(model: ModelConfig, train: TrainConfig) -> ModelLowering:
         "loss", OpKind.LOSS,
         flops=10.0 * tokens,
         input_bytes=logits_bytes, output_bytes=8.0)
-    model_ops = [embed, final_norm, lm_head, loss]
+    model_backward: tuple[Operator, ...] = ()
     if train.training:
-        # The backward pass reaches these twins in this order (the
-        # decoder layers' twins come between the final norm's and the
-        # embedding's), then the optimizer.
-        model_ops += [lm_head.as_backward(), final_norm.as_backward(),
-                      embed.as_backward()]
-        model_ops.append(Operator(
+        optimizer = Operator(
             "optimizer", OpKind.OPTIMIZER,
             # Adam: ~a dozen elementwise ops/param
             flops=12.0 * cost.total_params(),
             weight_bytes=cost.optimizer_state_bytes(train),
             input_bytes=cost.gradient_bytes(train),
-            output_bytes=cost.weight_bytes(train)))
+            output_bytes=cost.weight_bytes(train))
+        # The decoder layers' twins come between the final norm's and
+        # the embedding's.
+        model_backward = (lm_head.as_backward(), final_norm.as_backward(),
+                          embed.as_backward(), optimizer)
     return ModelLowering(
         layer=tuple(_layer_forward_ops(model, train, 0)),
-        model_ops=tuple(model_ops),
+        model_forward=(embed, final_norm, lm_head, loss),
+        model_backward=model_backward,
         n_layers=model.n_layers,
         training=train.training,
     )
@@ -270,9 +286,7 @@ def build_training_graph(model: ModelConfig,
     # input joins res1, res1's output joins res2.
     previous = stream = embedding.name
     for op, layer in order:
-        if layer > 0:
-            op = replace(op, name=layer_name(op.name, layer),
-                         layer_index=layer)
+        op = ModelLowering.at(op, layer)
         graph.add_op(op)
         graph.add_edge(previous, op.name)
         if op.kind is OpKind.RESIDUAL_ADD and not op.backward:

@@ -28,7 +28,6 @@ fits inside one SN30 machine (Sec. VI-A3b).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable
 
 from repro.common.errors import ConfigurationError, OutOfMemoryError
@@ -52,7 +51,7 @@ from repro.graph.partition import fuse_linear_chains
 from repro.hardware.specs import SN30_SYSTEM, SystemSpec
 from repro.models.config import ModelConfig, TrainConfig
 from repro.models.costmodel import TransformerCostModel
-from repro.models.graph_builder import ModelLowering, layer_name, lower_model
+from repro.models.graph_builder import ModelLowering, lower_model
 from repro.sambanova.sections import OpDemand, Section
 from repro.sambanova.sharding import SHARD_WEIGHT_BYTES, plan_shards
 
@@ -376,12 +375,11 @@ class RDUCompiler:
             demand = plans[op.name]
             if demand is None:
                 flush()
-                if layer > 0:
-                    op = replace(op, name=layer_name(op.name, layer))
-                sections.extend(self._shard_sections(op, train, tp, 1))
+                sections.extend(self._shard_sections(
+                    lowering.at(op, layer), train, tp, 1))
                 continue
             if layer > 0:
-                demand = demand.renamed(layer_name(demand.name, layer))
+                demand = demand.renamed(lowering.name_at(op, layer))
             kind = self._section_kind(op)
             if pending and (pending_pcus + demand.pcus > SECTION_PCU_BUDGET
                             or pending_pmus + demand.pmus > SECTION_PMU_BUDGET

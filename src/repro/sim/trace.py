@@ -33,7 +33,8 @@ class TraceRecord(_Fields):
 
     A record is an immutable tuple, so a trace of hundreds of thousands
     of rows iterates cheaply. Equality and hashing cover every field but
-    ``meta``, and a record never equals a plain tuple.
+    ``meta``, a record never equals a plain tuple, and records are not
+    ordered.
     """
 
     __slots__ = ()
@@ -55,6 +56,12 @@ class TraceRecord(_Fields):
 
     def __hash__(self) -> int:
         return hash(self[:5])
+
+    def _unordered(self, other: object) -> bool:
+        raise TypeError("trace records are not ordered; sort them by a "
+                        "key such as their start")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     @property
     def duration(self) -> float:

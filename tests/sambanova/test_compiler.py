@@ -4,12 +4,16 @@ import dataclasses
 
 import pytest
 
+import repro.cache
+from repro.cache import CompileCache, StageMemo
 from repro.common.errors import ConfigurationError, OutOfMemoryError
+from repro.core.stages import run_stages
 from repro.core.metrics import allocation_ratio, weighted_load_imbalance
 from repro.models.config import TrainConfig, gpt2_model, llama2_model
 from repro.models.precision import Precision, PrecisionPolicy
 from repro.models import graph_builder
 from repro.models.graph_builder import build_training_graph, lower_model
+from repro.sambanova.backend import SambaNovaBackend
 from repro.sambanova.compiler import (
     O3_PACKING_FACTOR,
     RDUCompiler,
@@ -277,3 +281,24 @@ def test_compile_lowers_one_layer(compiler, train, monkeypatch):
                               mode="O3")
     assert len(calls) == 1
     assert report.meta["sections"][-1].ops[-1].name == "optimizer"
+
+
+def test_graph_artifact_spilled_under_cache_v3_is_not_replayed(
+        tmp_path, monkeypatch, train):
+    """Cache v3 spilled the graph stage's ``ComputationGraph``; the
+    stage now returns a ``ModelLowering``, so the old spill must miss."""
+    backend = SambaNovaBackend()
+    model = gpt2_model("small").with_layers(4)
+    cache = CompileCache(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.cache, "CACHE_VERSION", 3)
+        old = backend.compile_pipeline(model, train, mode="O3")[0]
+        assert cache.stage_store(old.name, old.fingerprint,
+                                 build_training_graph(model, train))
+    new = backend.compile_pipeline(model, train, mode="O3")[0]
+    assert new.name == old.name and new.fingerprint != old.fingerprint
+    assert cache.stage_lookup(new.name, new.fingerprint) == (False, None)
+    memo = StageMemo(spill=cache)
+    assert (run_stages(backend.compile_pipeline(model, train, mode="O3"),
+                       memo)
+            == backend.compile(model, train, mode="O3"))

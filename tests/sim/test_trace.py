@@ -37,6 +37,17 @@ class TestRecord:
             assert rec != row and row != rec
             assert not rec == row and not row == rec
 
+    def test_records_are_not_ordered(self):
+        rec = TraceRecord(start=1.0, end=3.5, task="x", meta={"a": 1})
+        same = TraceRecord(start=1.0, end=3.5, task="x", meta={"b": 2})
+        for other in [same, (1.0, 3.5, "x", "compute", 0, {})]:
+            for compare in [lambda a, b: a < b, lambda a, b: a <= b,
+                            lambda a, b: a > b, lambda a, b: a >= b]:
+                with pytest.raises(TypeError):
+                    compare(rec, other)
+                with pytest.raises(TypeError):
+                    compare(other, rec)
+
     def test_immutable_with_its_own_meta(self):
         first = TraceRecord(start=0.0, end=1.0, task="a")
         second = TraceRecord(start=0.0, end=1.0, task="a")
